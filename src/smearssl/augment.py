@@ -1,7 +1,8 @@
-"""View generation: random resized crops plus a small named augmentation
-chain (flip, color jitter, grayscale, blur, solarize), all on float images in
-[0, 1]. Replaces the pixel-level recipe of the upstream framework with a
-configurable ordered chain; local crops stay available but default to zero.
+"""View generation: two global random resized crops per image, each passed
+through a small named augmentation chain (flip, color jitter, grayscale,
+blur, solarize), all on float images in [0, 1]. Replaces the pixel-level
+recipe of the upstream framework with a configurable ordered chain. There are
+no local crops: the cells are small enough that they add nothing.
 """
 
 from __future__ import annotations
@@ -15,12 +16,8 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class CropSpec:
-    global_crops: int = 2
     global_size: int = 64
     global_scale: tuple[float, float] = (0.4, 1.0)
-    local_crops: int = 0
-    local_size: int = 32
-    local_scale: tuple[float, float] = (0.1, 0.4)
     flip_p: float = 0.5
     jitter_p: float = 0.8
     jitter_strength: float = 0.3
@@ -31,16 +28,11 @@ class CropSpec:
     solarize_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.global_crops < 2:
-            raise ParameterError("need at least 2 global crops")
-        if self.local_crops < 0:
-            raise ParameterError("local_crops must be >= 0")
-        for name in ("global_scale", "local_scale"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi <= 1.0):
-                raise ParameterError(f"{name} must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})")
-        if self.global_size < 1 or self.local_size < 1:
-            raise ParameterError("crop sizes must be >= 1")
+        lo, hi = self.global_scale
+        if not (0.0 < lo <= hi <= 1.0):
+            raise ParameterError(f"global_scale must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})")
+        if self.global_size < 1:
+            raise ParameterError("global_size must be >= 1")
         for name in ("flip_p", "jitter_p", "grayscale_p", "blur_p", "solarize_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -139,13 +131,10 @@ def _augment_chain(view: np.ndarray, spec: CropSpec, rng: np.random.Generator) -
 
 
 def multicrop(image: np.ndarray, spec: CropSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """8-bit [H,W,3] image -> global (then local) float32 views in [0,1]."""
+    """8-bit [H,W,3] image -> two global float32 views in [0,1]."""
     img = image.astype(np.float32) / 255.0
     views: list[np.ndarray] = []
-    for _ in range(spec.global_crops):
+    for _ in range(2):
         v = random_resized_crop(img, spec.global_size, spec.global_scale, rng)
-        views.append(_augment_chain(v, spec, rng))
-    for _ in range(spec.local_crops):
-        v = random_resized_crop(img, spec.local_size, spec.local_scale, rng)
         views.append(_augment_chain(v, spec, rng))
     return views

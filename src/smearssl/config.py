@@ -48,16 +48,10 @@ DEFAULTS: dict[str, object] = {
     "train.weight_decay": 0.04,
     "train.teacher_momentum_start": 0.992,
     "train.teacher_momentum_end": 1.0,
-    "train.deterministic": True,
 
-    "crop.global_crops": 2,
     "crop.global_size": 64,
     "crop.global_scale_lo": 0.4,
     "crop.global_scale_hi": 1.0,
-    "crop.local_crops": 0,
-    "crop.local_size": 32,
-    "crop.local_scale_lo": 0.1,
-    "crop.local_scale_hi": 0.4,
     "crop.flip_p": 0.5,
     "crop.jitter_p": 0.8,
     "crop.jitter_strength": 0.3,
@@ -172,15 +166,13 @@ class RunConfig:
             warmup_frac=g("train.warmup_frac"), weight_decay=g("train.weight_decay"),
             teacher_momentum_start=g("train.teacher_momentum_start"),
             teacher_momentum_end=g("train.teacher_momentum_end"),
-            seed=g("run.seed"), deterministic=g("train.deterministic"))
+            seed=g("run.seed"))
 
     def crop_spec(self) -> CropSpec:
         g = self.get
         return CropSpec(
-            global_crops=g("crop.global_crops"), global_size=g("crop.global_size"),
+            global_size=g("crop.global_size"),
             global_scale=(g("crop.global_scale_lo"), g("crop.global_scale_hi")),
-            local_crops=g("crop.local_crops"), local_size=g("crop.local_size"),
-            local_scale=(g("crop.local_scale_lo"), g("crop.local_scale_hi")),
             flip_p=g("crop.flip_p"), jitter_p=g("crop.jitter_p"),
             jitter_strength=g("crop.jitter_strength"),
             grayscale_p=g("crop.grayscale_p"), blur_p=g("crop.blur_p"),

@@ -103,15 +103,16 @@ def read_embeddings(path: str) -> EmbeddingSet:
 
 def embed(checkpoint_path: str, records: list[ManifestRecord],
           batch_size: int = 64) -> EmbeddingSet:
-    """One teacher-encoder CLS row per manifest record, in manifest order."""
+    """One teacher-encoder CLS row per manifest record, in manifest order.
+    Images are read one batch at a time, so memory follows the batch, not
+    the corpus."""
     encoder = load_encoder(checkpoint_path)
     d = encoder.cfg.embed_dim
     if not records:
         return EmbeddingSet(np.zeros((0, d), dtype=np.float32), [], [], [])
-    images = load_images(records)
     rows = []
-    for start in range(0, len(images), batch_size):
-        chunk = images[start:start + batch_size]
+    for start in range(0, len(records), batch_size):
+        chunk = load_images(records[start:start + batch_size])
         batch = np.stack(chunk).astype(np.float32) / 255.0
         rows.append(encoder.forward(batch).data.astype(np.float32))
     vectors = np.concatenate(rows, axis=0)

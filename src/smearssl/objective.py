@@ -131,26 +131,12 @@ def ema_targets(logits: np.ndarray, center: np.ndarray, temp: float) -> np.ndarr
     return softmax_np(logits.astype(np.float64) - center[None, :], temp)
 
 
-def teacher_targets(logits: np.ndarray, cfg: SslConfig,
-                    state: CenteringState | None = None) -> np.ndarray:
-    """Dispatch on the configured centering mode. For ``ema`` the targets use
-    the current center and the center is then updated from this batch."""
-    if cfg.centering == "sinkhorn":
-        return sinkhorn_targets(logits, cfg.teacher_temp, cfg.sinkhorn_iters)
-    if cfg.centering == "ema":
-        if state is None:
-            raise ParameterError("ema centering requires a CenteringState")
-        out = ema_targets(logits, state.center, cfg.teacher_temp)
-        state.update(logits)
-        return out
-    return softmax_np(logits, cfg.teacher_temp)
-
-
 def teacher_targets_multiview(logits_list: list[np.ndarray], cfg: SslConfig,
                               state: CenteringState | None = None) -> list[np.ndarray]:
-    """Per-view targets. Sinkhorn balances each view's batch separately; the
-    ema center is read once for all views and then updated once from their
-    concatenation, matching the one-update-per-step convention."""
+    """Per-view targets, dispatched on the configured centering mode.
+    Sinkhorn balances each view's batch separately; the ema center is read
+    once for all views and then updated once from their concatenation,
+    matching the one-update-per-step convention."""
     if cfg.centering == "sinkhorn":
         return [sinkhorn_targets(lg, cfg.teacher_temp, cfg.sinkhorn_iters)
                 for lg in logits_list]
@@ -165,26 +151,21 @@ def teacher_targets_multiview(logits_list: list[np.ndarray], cfg: SslConfig,
 
 def dino_loss(student_logits: list[T.Tensor], targets: list[np.ndarray],
               student_temp: float) -> T.Tensor:
-    """Cross-entropy averaged over ordered (teacher view, student view) pairs
-    with distinct indices. Two global views give two such pairs."""
-    if len(student_logits) != len(targets):
-        raise ParameterError("student view count must match teacher view count")
-    if len(student_logits) < 2:
-        raise ParameterError("need at least two views")
+    """Cross-entropy of each student view against the other view's teacher
+    targets, averaged over the two ordered pairs."""
+    if len(student_logits) != 2 or len(targets) != 2:
+        raise ParameterError(
+            f"need exactly two views, got {len(student_logits)} student and "
+            f"{len(targets)} teacher")
     inv_temp = 1.0 / student_temp
-    pair_losses: list[T.Tensor] = []
-    for ti, tgt in enumerate(targets):
-        for sj, slog in enumerate(student_logits):
-            if ti == sj:
-                continue
-            logp = T.log_softmax(slog * inv_temp, axis=-1)
-            p = T.Tensor(tgt.astype(slog.dtype, copy=False))
-            ce = T.neg(T.mean(T.tensor_sum(p * logp, axis=-1)))
-            pair_losses.append(ce)
-    total = pair_losses[0]
-    for extra in pair_losses[1:]:
-        total = total + extra
-    return total * (1.0 / len(pair_losses))
+
+    def ce(tgt: np.ndarray, slog: T.Tensor) -> T.Tensor:
+        logp = T.log_softmax(slog * inv_temp, axis=-1)
+        p = T.Tensor(tgt.astype(slog.dtype, copy=False))
+        return T.neg(T.mean(T.tensor_sum(p * logp, axis=-1)))
+
+    return (ce(targets[0], student_logits[1])
+            + ce(targets[1], student_logits[0])) * 0.5
 
 
 def koleo_loss(z: T.Tensor, eps: float = 1e-8) -> T.Tensor:

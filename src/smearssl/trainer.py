@@ -45,7 +45,6 @@ class TrainConfig:
     teacher_momentum_start: float = 0.992
     teacher_momentum_end: float = 1.0
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -138,10 +137,8 @@ def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
         [train_cfg.seed, 0])))
     student_params = init_vit_params(vit_cfg, rng)
     student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
-    teacher_params = {k: T.Tensor(v.data.copy(), requires_grad=True)
-                      for k, v in student_params.items()}
-    teacher_head = {k: T.Tensor(v.data.copy(), requires_grad=True)
-                    for k, v in student_head.items()}
+    teacher_params = {k: T.Tensor(v.data.copy()) for k, v in student_params.items()}
+    teacher_head = {k: T.Tensor(v.data.copy()) for k, v in student_head.items()}
     state = TrainState(
         vit_cfg=vit_cfg, ssl_cfg=ssl_cfg, train_cfg=train_cfg,
         student_enc=VitEncoder(vit_cfg, params=student_params),
@@ -165,8 +162,9 @@ def _iteration_rng(seed: int, iteration: int, stream: int) -> np.random.Generato
 
 def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfig,
                  iteration: int) -> list[np.ndarray]:
-    """Draw batch_size images and produce the stacked global views:
-    a list of [B, S, S, 3] float32 arrays, one per crop slot."""
+    """Draw batch_size images and crop each twice: a list of two
+    [B, S, S, 3] float32 arrays, the first and the second global view of
+    every image."""
     if not images:
         raise InputError("empty training set")
     brng = _iteration_rng(train_cfg.seed, iteration, _STREAM_BATCH)
@@ -175,8 +173,7 @@ def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfi
     idx = brng.choice(n, size=train_cfg.batch_size, replace=replace)
     arng = _iteration_rng(train_cfg.seed, iteration, _STREAM_AUG)
     per_image = [multicrop(images[int(i)], crop, arng) for i in idx]
-    n_views = crop.global_crops
-    return [np.stack([views[v] for views in per_image]) for v in range(n_views)]
+    return [np.stack(views) for views in zip(*per_image)]
 
 
 def _adamw_step(state: TrainState, lr: float) -> None:
@@ -199,32 +196,33 @@ def _adamw_step(state: TrainState, lr: float) -> None:
 
 
 def train_step(state: TrainState, views: list[np.ndarray]) -> float:
-    """One optimization step on prepared views. Teacher targets come from
-    global views only; the student learns from every view against each
-    teacher view but its own index."""
-    if views[0].shape[0] < 2:
+    """One optimization step on the two global views of a batch. Each tower
+    runs once on both views stacked to [2B, ...]; its output rows are then
+    split per view, so Sinkhorn balances each view's batch on its own and
+    each student view learns against the other view's teacher targets."""
+    if len(views) != 2 or views[0].shape != views[1].shape:
+        raise ParameterError(
+            f"train_step needs exactly two views of one shape, got "
+            f"{[v.shape for v in views]}")
+    b = views[0].shape[0]
+    if b < 2:
         raise ParameterError("batch_size must be >= 2 for batch-level terms")
     sched = schedule(state.iteration, state.train_cfg)
-    n_global = min(len(views), 2)
+    stacked = np.concatenate(views, axis=0)
 
     # teacher pass: values only, no tape
-    teacher_logits = []
-    for v in views[:n_global]:
-        cls = state.teacher_enc.forward(v)
-        logits, _ = head_forward(state.teacher_head, cls)
-        teacher_logits.append(logits.data.copy())
-    targets = teacher_targets_multiview(teacher_logits, state.ssl_cfg,
-                                        state.centering)
+    teacher_logits = head_forward(state.teacher_head,
+                                  state.teacher_enc.forward(stacked))[0].data
+    targets = teacher_targets_multiview([teacher_logits[:b], teacher_logits[b:]],
+                                        state.ssl_cfg, state.centering)
+
+    def per_view(t: T.Tensor) -> list[T.Tensor]:
+        return [T.narrow(t, 0, 0, b), T.narrow(t, 0, b, b)]
 
     with T.Tape() as tape:
-        student_logits, student_z = [], []
-        for v in views:
-            cls = state.student_enc.forward(v)
-            logits, z = head_forward(state.student_head, cls)
-            student_logits.append(logits)
-            student_z.append(z)
-        loss = total_loss(student_logits[:n_global], targets, state.ssl_cfg,
-                          student_z[:n_global])
+        logits, z = head_forward(state.student_head,
+                                 state.student_enc.forward(stacked))
+        loss = total_loss(per_view(logits), targets, state.ssl_cfg, per_view(z))
         loss.check_finite("total loss")
         tape.backward(loss)
 

@@ -224,12 +224,12 @@ class TestConfigPlumbing:
 
     def test_set_parses_booleans(self):
         cfg = RunConfig()
-        cfg.set("train.deterministic", "no")
-        assert cfg.get("train.deterministic") is False
         cfg.set("ssl.koleo_enabled", "TRUE")
         assert cfg.get("ssl.koleo_enabled") is True
+        cfg.set("ssl.koleo_enabled", "no")
+        assert cfg.get("ssl.koleo_enabled") is False
         with pytest.raises(InputError):
-            cfg.set("train.deterministic", "maybe")
+            cfg.set("ssl.koleo_enabled", "maybe")
 
     def test_get_unknown_key(self):
         with pytest.raises(InputError):
@@ -269,12 +269,15 @@ class TestConfigPlumbing:
         assert resolved.get("run.seed") == 2
 
     def test_unknown_key_in_config_file(self, tmp_path, capsys):
+        # the removed multi-crop and determinism keys are refused like any
+        # other unknown key, also in a config.resolved written before
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("synth.n_images = 3\nnot.a_key = 1\n")
-        rc, _, err = run_cli(["gen-synthetic", "--config", str(cfg_file),
-                              "--out", str(tmp_path / "d")], capsys)
-        assert rc == 1
-        assert "unknown config key" in err and "bad.cfg:2" in err
+        for key in ("not.a_key", "crop.local_crops", "train.deterministic"):
+            cfg_file.write_text(f"synth.n_images = 3\n{key} = 1\n")
+            rc, _, err = run_cli(["gen-synthetic", "--config", str(cfg_file),
+                                  "--out", str(tmp_path / "d")], capsys)
+            assert rc == 1
+            assert "unknown config key" in err and "bad.cfg:2" in err, key
 
     def test_resolved_config_reproduces_run(self, dataset, tmp_path, capsys):
         # spec'd guarantee: a run is reproducible from its resolved dump alone

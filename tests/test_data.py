@@ -244,16 +244,7 @@ class TestMulticrop:
             for v in multicrop(img, spec, rng):
                 assert v.min() >= 0.0 and v.max() <= 1.0
 
-    def test_local_crops_appended(self, rng):
-        img = checker(64, 64)
-        spec = CropSpec(global_size=32, local_crops=4, local_size=16)
-        views = multicrop(img, spec, rng)
-        assert len(views) == 6
-        assert views[2].shape == (16, 16, 3)
-
     def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            CropSpec(global_crops=1)
         with pytest.raises(ParameterError):
             CropSpec(global_scale=(0.0, 1.0))
         with pytest.raises(ParameterError):

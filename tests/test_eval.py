@@ -474,6 +474,14 @@ class TestEmbed:
         emb = embed(ckpt, [records[0], records[0]])
         np.testing.assert_array_equal(emb.vectors[0], emb.vectors[1])
 
+    def test_partial_batches_match_one_batch(self, corpus):
+        manifest, ckpt = corpus
+        records = load_manifest(manifest)
+        whole = embed(ckpt, records)
+        split = embed(ckpt, records, batch_size=3)
+        assert split.ids == whole.ids
+        np.testing.assert_allclose(split.vectors, whole.vectors, atol=1e-5)
+
     def test_empty_manifest_zero_rows(self, corpus):
         _, ckpt = corpus
         emb = embed(ckpt, [])

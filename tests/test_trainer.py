@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import smearssl.tensor as T
+import smearssl.trainer as trainer_mod
 from smearssl.augment import CropSpec
 from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
-from smearssl.objective import SslConfig
+from smearssl.objective import (SslConfig, head_forward,
+                                teacher_targets_multiview, total_loss)
 from smearssl.trainer import (
     TrainConfig,
     ema_update,
@@ -22,7 +24,7 @@ from smearssl.trainer import (
     train,
     train_step,
 )
-from smearssl.vit import VitConfig
+from smearssl.vit import VitConfig, VitEncoder
 
 TINY_VIT = VitConfig(image_size=16, patch_size=8, embed_dim=8, depth=1, heads=2)
 TINY_SSL = SslConfig(head_hidden=16, bottleneck=8, num_prototypes=8)
@@ -131,7 +133,7 @@ class TestSampleBatch:
         cfg = tiny_train_cfg()
         a = sample_batch(imgs, TINY_CROP, cfg, 4)
         b = sample_batch(imgs, TINY_CROP, cfg, 4)
-        assert len(a) == TINY_CROP.global_crops
+        assert len(a) == 2
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -198,6 +200,58 @@ class TestTrainStep:
             assert np.all(p.data >= lo) and np.all(p.data <= hi), k
             moved = moved or not np.array_equal(p.data, t_before[k])
         assert moved
+
+    def test_stacked_step_matches_per_view_reference(self):
+        imgs = noise_images()
+        cfg = tiny_train_cfg()
+        ssl = SslConfig(head_hidden=16, bottleneck=8, num_prototypes=8,
+                        koleo_enabled=True)
+        state = init_train_state(TINY_VIT, ssl, cfg)
+        views = sample_batch(imgs, TINY_CROP, cfg, 0)
+        # one forward per view and tower, as two separate batches
+        teacher_logits = [
+            head_forward(state.teacher_head, state.teacher_enc.forward(v))[0].data
+            for v in views]
+        targets = teacher_targets_multiview(teacher_logits, ssl)
+        student = [head_forward(state.student_head, state.student_enc.forward(v))
+                   for v in views]
+        want = total_loss([lg for lg, _ in student], targets, ssl,
+                          [z for _, z in student]).item()
+        got = train_step(state, views)
+        assert abs(got - want) < 1e-6
+        for k, p in state.teacher_params().items():
+            assert p.requires_grad is False and p.grad is None, k
+
+    def test_each_tower_runs_once(self, monkeypatch):
+        calls = {"encoder": 0, "head": 0}
+        enc_forward, head = VitEncoder.forward, trainer_mod.head_forward
+
+        def counting_forward(self, images):
+            calls["encoder"] += 1
+            return enc_forward(self, images)
+
+        def counting_head(params, x):
+            calls["head"] += 1
+            return head(params, x)
+
+        monkeypatch.setattr(VitEncoder, "forward", counting_forward)
+        monkeypatch.setattr(trainer_mod, "head_forward", counting_head)
+        cfg = tiny_train_cfg()
+        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
+        assert calls == {"encoder": 2, "head": 2}
+
+    def test_view_count_and_shapes_checked(self):
+        cfg = tiny_train_cfg()
+        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        views = sample_batch(noise_images(), TINY_CROP, cfg, 0)
+        with pytest.raises(ParameterError):
+            train_step(state, views + [views[0]])
+        with pytest.raises(ParameterError):
+            train_step(state, [views[0], views[1][:, :8, :8]])
+        with pytest.raises(ParameterError):
+            train_step(state, [views[0], np.concatenate(views)])
+        assert state.iteration == 0 and state.loss_history == []
 
     def test_teacher_never_accumulates_grads(self):
         imgs = noise_images()
