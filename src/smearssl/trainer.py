@@ -87,8 +87,9 @@ def schedule(iteration: int, cfg: TrainConfig) -> dict[str, float]:
 
 def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
                m_t: float) -> None:
-    """In-place t' = m_t * t + (1 - m_t) * s per scalar. The endpoints are
-    special-cased so m_t of exactly 0 or 1 is bit-exact."""
+    """t' = m_t * t + (1 - m_t) * s per scalar, in place as
+    t += (1 - m_t) * (s - t). The endpoints are special-cased so m_t of
+    exactly 0 (a copy, never an alias) or 1 is bit-exact."""
     if teacher.keys() != student.keys():
         raise DimensionError("teacher/student parameter names differ")
     for name, t in teacher.items():
@@ -101,8 +102,9 @@ def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
         if m_t == 0.0:
             t.data = s.data.copy()
         else:
-            t.data = (m_t * t.data.astype(np.float64)
-                      + (1.0 - m_t) * s.data.astype(np.float64)).astype(t.data.dtype)
+            step = s.data - t.data
+            step *= 1.0 - m_t
+            t.data += step
 
 
 @dataclass
@@ -177,22 +179,39 @@ def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfi
 
 
 def _adamw_step(state: TrainState, lr: float) -> None:
+    """AdamW with decay on matrices only, in place: the float32 ops of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p), in that order, so the
+    result is bit-identical to that form. Consumes and clears the grads."""
     cfg = state.train_cfg
     t = state.iteration + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in state.student_params().items():
-        if p.grad is None:
+        g = p.grad
+        if g is None:
             continue
-        g = p.grad.astype(np.float32)
+        p.grad = None
         m = state.moments_m[name]
         v = state.moments_v[name]
-        m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        buf = np.empty_like(p.data)
+        np.multiply(g, 1 - ADAM_BETA1, out=buf)
+        m *= ADAM_BETA1
+        m += buf
+        np.multiply(g, 1 - ADAM_BETA2, out=buf)
+        buf *= g
+        v *= ADAM_BETA2
+        v += buf
+        update = np.divide(m, bc1, out=g)
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        update /= buf
         if cfg.weight_decay > 0 and p.data.ndim >= 2:
-            update = update + cfg.weight_decay * p.data
-        p.data = p.data - np.float32(lr) * update
+            np.multiply(p.data, cfg.weight_decay, out=buf)
+            update += buf
+        update *= np.float32(lr)
+        p.data -= update
 
 
 def train_step(state: TrainState, views: list[np.ndarray]) -> float:
@@ -228,8 +247,6 @@ def train_step(state: TrainState, views: list[np.ndarray]) -> float:
 
     _adamw_step(state, sched["lr"])
     renormalize_prototypes(state.student_head)
-    for p in state.student_params().values():
-        p.grad = None
     ema_update(state.teacher_params(), state.student_params(), sched["m_t"])
 
     value = float(loss.item())

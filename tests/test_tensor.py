@@ -60,6 +60,23 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data[1], 100.0, atol=1e-6)
         np.testing.assert_allclose(out.data[2], 0.0, atol=1e-6)
 
+    def test_gelu_float32_matches_float64(self):
+        x32 = np.linspace(-8.0, 8.0, 4001).astype(np.float32)
+        results = []
+        for x in (x32.astype(np.float64), x32):
+            xt = T.Tensor(x, requires_grad=True)
+            with T.Tape() as tape:
+                y = T.gelu(xt)
+                tape.backward(y)
+            assert y.data.dtype == x.dtype and xt.grad.dtype == x.dtype
+            results.append((y.data, xt.grad))
+        (want_y, want_g), (got_y, got_g) = results
+        np.testing.assert_allclose(got_y, want_y, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-6)
+        fix = T.gelu(T.Tensor(np.array([0.0, 100.0, -100.0], dtype=np.float32))).data
+        assert fix.dtype == np.float32
+        assert fix[0] == 0.0 and fix[1] == 100.0 and fix[2] == 0.0
+
     def test_concat_narrow_roundtrip(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(4, 3))
@@ -139,6 +156,41 @@ class TestGradients:
             y = T.tensor_sum(T.add(T.mul(x, x), x))
             tape.backward(y)
         np.testing.assert_allclose(x.grad, [7.0], atol=1e-12)
+
+    def test_same_tensor_twice_in_add(self, rng):
+        x = t64(rng.normal(size=(3, 4)))
+        g = rng.normal(size=(3, 4))
+        with T.Tape() as tape:
+            y = T.add(x, x)
+            y.grad = g.copy()
+            tape.backward(y)
+        np.testing.assert_array_equal(x.grad, 2.0 * g)
+        np.testing.assert_array_equal(y.grad, g)
+
+    def test_first_gradient_is_a_copy_in_tensor_dtype(self):
+        x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        x.accumulate_grad(g)
+        g[:] = 7.0
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("other_path", [False, True])
+    def test_narrow_slices_covering_axis_give_full_grad(self, rng, other_path):
+        # the attention q/k/v split: three slices of one axis; with
+        # other_path, a gradient reaches the input before the slices' do
+        x = t64(rng.normal(size=(3, 2, 4)))
+        w = rng.normal(size=(3, 2, 4))
+        with T.Tape() as tape:
+            terms = [T.tensor_sum(T.mul(T.narrow(x, 0, i, 1), T.Tensor(w[i:i + 1])))
+                     for i in range(3)]
+            if other_path:
+                terms.append(T.tensor_sum(x))
+            y = terms[0]
+            for term in terms[1:]:
+                y = T.add(y, term)
+            tape.backward(y)
+        np.testing.assert_array_equal(x.grad, w + 1.0 if other_path else w)
 
     def test_grad_none_without_tape(self):
         x = t64([1.0, 2.0])

@@ -127,6 +127,78 @@ class TestEmaUpdate:
         assert np.all(t["w"].data <= hi + 1e-7)
 
 
+    def test_float32_in_place_matches_float64_reference(self, rng):
+        teacher = rng.normal(size=4096).astype(np.float32)
+        student = (teacher + 0.01 * rng.normal(size=4096)).astype(np.float32)
+        want = 0.996 * teacher.astype(np.float64) + 0.004 * student.astype(np.float64)
+        t = {"w": T.Tensor(teacher.copy())}
+        ema_update(t, {"w": T.Tensor(student)}, 0.996)
+        assert t["w"].data.dtype == np.float32
+        np.testing.assert_allclose(t["w"].data, want, rtol=1e-6, atol=0)
+
+    def test_zero_momentum_copy_is_not_moved_by_optimizer(self):
+        state = init_train_state(TINY_VIT, TINY_SSL, tiny_train_cfg())
+        ema_update(state.teacher_params(), state.student_params(), 0.0)
+        before = {k: p.data.copy() for k, p in state.teacher_params().items()}
+        for p in state.student_params().values():
+            p.grad = np.ones_like(p.data)
+        trainer_mod._adamw_step(state, 1e-2)
+        for k, p in state.teacher_params().items():
+            np.testing.assert_array_equal(p.data, before[k])
+            assert not np.array_equal(state.student_params()[k].data, before[k]), k
+
+
+def reference_adamw_step(state, lr):
+    """The out-of-place AdamW formula that the in-place step reproduces."""
+    b1, b2, eps = trainer_mod.ADAM_BETA1, trainer_mod.ADAM_BETA2, trainer_mod.ADAM_EPS
+    t = state.iteration + 1
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in state.student_params().items():
+        if p.grad is None:
+            continue
+        g = p.grad.astype(np.float32)
+        m = state.moments_m[name]
+        v = state.moments_v[name]
+        m[:] = b1 * m + (1 - b1) * g
+        v[:] = b2 * v + (1 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if state.train_cfg.weight_decay > 0 and p.data.ndim >= 2:
+            update = update + state.train_cfg.weight_decay * p.data
+        p.data = p.data - np.float32(lr) * update
+
+
+class TestAdamW:
+    def test_in_place_step_bit_identical_to_formula(self, rng):
+        cfg = tiny_train_cfg(weight_decay=0.04)
+        got, want = (init_train_state(TINY_VIT, TINY_SSL, cfg) for _ in range(2))
+        start = {k: p.data.copy() for k, p in got.student_params().items()}
+        no_grad = "encoder.cls_token"
+        zero_grad = ("head.fc1.weight", "head.fc1.bias")
+        for _ in range(3):
+            for k, p in got.student_params().items():
+                if k == no_grad:
+                    continue
+                scale = 0.0 if k in zero_grad else 10.0 ** rng.integers(-4, 2)
+                p.grad = (scale * rng.normal(size=p.shape)).astype(np.float32)
+                want.student_params()[k].grad = p.grad.copy()
+            trainer_mod._adamw_step(got, 1e-2)
+            reference_adamw_step(want, 1e-2)
+            got.iteration += 1
+            want.iteration += 1
+        for k, p in got.student_params().items():
+            assert np.array_equal(p.data, want.student_params()[k].data), k
+            assert np.array_equal(got.moments_m[k], want.moments_m[k]), k
+            assert np.array_equal(got.moments_v[k], want.moments_v[k]), k
+            assert p.data.dtype == np.float32 and p.grad is None, k
+        # with no gradient signal, decay moves matrices and leaves vectors
+        params = got.student_params()
+        assert np.array_equal(params[no_grad].data, start[no_grad])
+        assert not np.any(got.moments_m[no_grad]) and not np.any(got.moments_v[no_grad])
+        assert np.array_equal(params["head.fc1.bias"].data, start["head.fc1.bias"])
+        assert not np.array_equal(params["head.fc1.weight"].data, start["head.fc1.weight"])
+
+
 class TestSampleBatch:
     def test_deterministic_per_iteration(self):
         imgs = noise_images()
