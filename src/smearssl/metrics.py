@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DimensionError
 
 
@@ -15,28 +17,24 @@ def compute_metrics(y_true: list, y_pred: list) -> dict[str, float]:
     if not y_true:
         raise DimensionError("metrics need at least one sample")
     n = len(y_true)
-    classes = sorted({str(c) for c in y_true} | {str(c) for c in y_pred})
     yt = [str(c) for c in y_true]
     yp = [str(c) for c in y_pred]
-
-    acc = sum(t == p for t, p in zip(yt, yp)) / n
-
-    recalls = []
-    wf1 = 0.0
-    for c in classes:
-        tp = sum(t == c and p == c for t, p in zip(yt, yp))
-        fn = sum(t == c and p != c for t, p in zip(yt, yp))
-        fp = sum(t != c and p == c for t, p in zip(yt, yp))
-        support = tp + fn
-        if support == 0:
-            continue
-        recall = tp / support
-        recalls.append(recall)
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        wf1 += (support / n) * f1
-
-    return {"acc": acc, "bacc": sum(recalls) / len(recalls), "wf1": wf1}
+    cindex = {c: i for i, c in enumerate(sorted(set(yt) | set(yp)))}
+    m = len(cindex)
+    conf = np.bincount([cindex[t] * m + cindex[p] for t, p in zip(yt, yp)],
+                       minlength=m * m).reshape(m, m)
+    seen = conf.sum(axis=1) > 0
+    tp, support, predicted = (np.diag(conf)[seen], conf.sum(axis=1)[seen],
+                              conf.sum(axis=0)[seen])
+    hit = tp > 0
+    recall = tp / support
+    precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=hit)
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros(len(tp)), where=hit)
+    # cumsum adds the class terms one at a time in class order, like a
+    # running total; np.sum adds pairwise and may round differently.
+    return {"acc": int(conf.trace()) / n, "bacc": sum(recall.tolist()) / len(recall),
+            "wf1": float(np.cumsum(support / n * f1)[-1])}
 
 
 METRIC_NAMES = ("acc", "bacc", "wf1")

@@ -70,8 +70,8 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
 
     mean, std = _standardize_stats(train.vectors.astype(np.float64))
     x = (train.vectors.astype(np.float64) - mean) / std
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), [cindex[c] for c in y_train]] = 1.0
+    rows, y_index = np.arange(n), np.array([cindex[c] for c in y_train])
+    onehot = np.eye(k)[y_index]
 
     w = np.zeros((d, k))
     b = np.zeros(k)
@@ -81,7 +81,7 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
         logits -= logits.max(axis=1, keepdims=True)
         expz = np.exp(logits)
         probs = expz / expz.sum(axis=1, keepdims=True)
-        ce = -np.log(np.maximum(probs[np.arange(n), onehot.argmax(axis=1)], 1e-300)).mean()
+        ce = -np.log(np.maximum(probs[rows, y_index], 1e-300)).mean()
         return probs, ce + 0.5 * reg_lambda * float((wm * wm).sum())
 
     step = 1.0
@@ -126,17 +126,51 @@ def _l2_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, 1e-12)
 
 
+# `knn` takes test rows in chunks of this many distances (32 MB of float64).
+_CHUNK_DISTANCES = 1 << 22
+
+
 @dataclass
 class KnnResult:
     predictions: list[str]
     metrics: dict[str, float]
 
 
+def _distances(x: np.ndarray, train_x: np.ndarray, metric: str) -> np.ndarray:
+    """float64 distances from the rows of x to the rows of train_x, which is
+    l2-normalized already under cosine."""
+    x = x.astype(np.float64)
+    if metric == "cosine":
+        dist = _l2_rows(x) @ train_x.T
+        return np.subtract(1.0, dist, out=dist)
+    sq = (x * x).sum(1)[:, None] - 2 * x @ train_x.T + (train_x * train_x).sum(1)[None, :]
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row's k smallest distances, in ascending distance: the
+    neighbors of ``np.argsort(row, kind="stable")[:k]``. Equal distances may
+    come in another order, which changes no vote and no summed distance."""
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k].copy()  # frees the rest
+    part_dist = np.take_along_axis(dist, part, axis=1)
+    near = np.take_along_axis(part, np.argsort(part_dist, axis=1), axis=1)
+    # Where equal distances straddle the k-th place, argpartition chose among
+    # them arbitrarily; the stable sort takes the lowest train rows.
+    kth = part_dist.max(axis=1, keepdims=True)
+    straddle = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
+    near[straddle] = np.argsort(dist[straddle], axis=1, kind="stable")[:, :k]
+    return near
+
+
 def knn(train: EmbeddingSet, test: EmbeddingSet, k: int,
         metric: str = "cosine") -> KnnResult:
     """Exact brute-force k-NN. Cosine distance on l2-normalized rows by
-    default; majority vote, ties broken by smaller summed distance among the
-    tied classes, then by lexicographic class name."""
+    default. A row's k neighbors are its k smallest distances, equal ones in
+    train-row order; most votes win, then the smaller summed distance among
+    the tied classes, then the lexicographically smaller class name. Test
+    rows go in chunks of about 2^22 distances, so memory is bounded in n_test."""
+    if train.dim != test.dim:
+        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
     if len(train) == 0:
         raise ProtocolError("empty train set")
     if not 1 <= k <= len(train):
@@ -145,23 +179,26 @@ def knn(train: EmbeddingSet, test: EmbeddingSet, k: int,
         raise ParameterError(f"unknown distance metric {metric!r}")
     y_train = _require_labels(train, "train")
     y_test = _require_labels(test, "test")
+    classes = sorted(set(y_train))
+    cindex = {c: i for i, c in enumerate(classes)}
+    y_index = np.array([cindex[c] for c in y_train])
 
     xtr = train.vectors.astype(np.float64)
-    xte = test.vectors.astype(np.float64)
     if metric == "cosine":
-        dist = 1.0 - _l2_rows(xte) @ _l2_rows(xtr).T
-    else:
-        sq = (xte * xte).sum(1)[:, None] - 2 * xte @ xtr.T + (xtr * xtr).sum(1)[None, :]
-        dist = np.sqrt(np.maximum(sq, 0.0))
-
-    preds = []
-    for i in range(len(test)):
-        order = np.argsort(dist[i], kind="stable")[:k]
-        votes: dict[str, int] = {}
-        dsum: dict[str, float] = {}
-        for j in order:
-            c = y_train[int(j)]
-            votes[c] = votes.get(c, 0) + 1
-            dsum[c] = dsum.get(c, 0.0) + float(dist[i, int(j)])
-        preds.append(min(votes, key=lambda c: (-votes[c], dsum[c], c)))
+        xtr = _l2_rows(xtr)
+    preds: list[str] = []
+    step = max(1, _CHUNK_DISTANCES // len(train))
+    for lo in range(0, len(test), step):
+        dist = _distances(test.vectors[lo:lo + step], xtr, metric)
+        near = _nearest(dist, k)
+        # One bin per (row, class), filled in neighbor order, so each summed
+        # distance adds its terms in that order, starting from 0.0.
+        bins = (np.arange(len(dist))[:, None] * len(classes) + y_index[near]).ravel()
+        size = len(dist) * len(classes)
+        votes = np.bincount(bins, minlength=size).reshape(-1, len(classes))
+        dsum = np.bincount(bins, np.take_along_axis(dist, near, axis=1).ravel(),
+                           size).reshape(votes.shape)
+        tied = votes == votes.max(axis=1, keepdims=True)
+        best = np.where(tied, dsum, np.inf).min(axis=1, keepdims=True)
+        preds += [classes[i] for i in np.argmax(tied & (dsum == best), axis=1)]
     return KnnResult(predictions=preds, metrics=compute_metrics(y_test, preds))

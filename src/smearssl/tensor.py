@@ -53,9 +53,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise DimensionError(

@@ -116,10 +116,11 @@ def naive_knn(train_x: np.ndarray, train_y: list[str], test_x: np.ndarray,
               k: int, metric: str = "cosine") -> list[str]:
     """Double-loop reference with the same tie-break ladder as the package:
     most votes, then smallest summed distance among tied classes, then
-    lexicographic class name."""
+    lexicographic class name. Under cosine a zero row stays zero (norms are
+    clamped at 1e-12, as in the package), so its distance to any row is 1."""
     if metric == "cosine":
-        tr = train_x / np.linalg.norm(train_x, axis=1, keepdims=True)
-        te = test_x / np.linalg.norm(test_x, axis=1, keepdims=True)
+        tr = train_x / np.maximum(np.linalg.norm(train_x, axis=1, keepdims=True), 1e-12)
+        te = test_x / np.maximum(np.linalg.norm(test_x, axis=1, keepdims=True), 1e-12)
     preds = []
     for i in range(len(test_x)):
         dists = []

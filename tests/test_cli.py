@@ -197,6 +197,20 @@ class TestExitCodes:
         assert rc == 2
         assert "runtime error:" in err
 
+    def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
+                                                         tmp_path, capsys):
+        tr, _ = emb_files
+        narrow = EmbeddingSet(vectors=np.eye(4, dtype=np.float32),
+                              ids=[f"r{i}" for i in range(4)],
+                              sources=["src0"] * 4,
+                              labels=["a", "a", "b", "b"])
+        te = str(tmp_path / "narrow.emb1")
+        write_embeddings(te, narrow)
+        rc, _, err = run_cli(["eval-knn", "--train-emb", tr, "--test-emb", te],
+                             capsys)
+        assert rc == 1
+        assert "error: dimension mismatch: train 8, test 4" in err
+
     def test_single_source_loso_is_validation_error(self, tmp_path, capsys):
         one = EmbeddingSet(vectors=np.eye(4, dtype=np.float32),
                            ids=[f"r{i}" for i in range(4)],

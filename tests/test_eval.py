@@ -3,11 +3,13 @@ the PCA feature map."""
 
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import dense_pca, naive_knn, naive_metrics
+from smearssl import probes
 from smearssl.data import load_manifest
 from smearssl.embeddings import (
     EmbeddingSet,
@@ -186,6 +188,97 @@ class TestKnn:
         train = emb_set(rng.normal(size=(3, 4)), ["a", None, "b"])
         with pytest.raises(ProtocolError):
             knn(train, train, k=1)
+
+    def test_dimension_mismatch_rejected(self, rng):
+        train = cluster_set(rng, n_per_class=2)
+        test = emb_set(rng.normal(size=(2, 5)), ["a", "b"])
+        with pytest.raises(ProtocolError, match="dimension mismatch: train 6, test 5"):
+            knn(train, test, k=1)
+
+
+def tie_heavy_set(rng, n, pool):
+    """n rows drawn with replacement from `pool`, labels from three classes."""
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    return emb_set(rows, [str(c) for c in rng.integers(0, 3, size=n)])
+
+
+def tie_heavy_pool(rng, metric):
+    """A few integer vectors, so that rows repeat and distances tie.
+
+    Under cosine each nonzero vector has 1 or 4 nonzero entries of one size,
+    so its l2-normalized entries are 0, +-0.5 or +-1 and every cosine distance
+    is a multiple of 0.25, exact in any summation order; the zero vector is
+    always in the pool. Under euclidean, small integers make every squared
+    distance an exact integer."""
+    if metric == "euclidean":
+        return rng.integers(-2, 3, size=(int(rng.integers(2, 7)), 3))
+    pool = [np.zeros(4)]
+    for _ in range(int(rng.integers(2, 6))):
+        scale = int(rng.integers(1, 4))
+        if rng.integers(0, 2):
+            v = np.zeros(4)
+            v[int(rng.integers(0, 4))] = scale * rng.choice([-1, 1])
+        else:
+            v = scale * rng.choice([-1, 1], size=4)
+        pool.append(v)
+    return np.array(pool)
+
+
+class TestKnnExactTieRule:
+    """The chunked k-NN against the double-loop oracle on data where equal
+    distances often straddle the k-th place, at every k and at chunk sizes
+    from one test row per chunk to all rows in one chunk."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_tie_heavy_data_matches_oracle(self, metric, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(2024))
+        for _ in range(40):
+            pool = tie_heavy_pool(rng, metric)
+            train = tie_heavy_set(rng, int(rng.integers(1, 17)), pool)
+            test = tie_heavy_set(rng, int(rng.integers(1, 11)), pool)
+            for k in range(1, len(train) + 1):
+                want = naive_knn(train.vectors, train.labels, test.vectors, k,
+                                 metric)
+                for chunk in (1, 7, 30, 1 << 22):
+                    monkeypatch.setattr(probes, "_CHUNK_DISTANCES", chunk)
+                    got = knn(train, test, k=k, metric=metric).predictions
+                    assert got == want, (k, chunk, train.vectors, test.vectors)
+
+    def test_nearest_matches_stable_argsort(self):
+        # same neighbors as the full stable sort, and the same distances in
+        # the same order, so every per-class sum adds the same terms in turn
+        rng = np.random.Generator(np.random.PCG64(7))
+        for _ in range(50):
+            dist = rng.integers(0, 4, size=(5, int(rng.integers(1, 30)))) * 0.5
+            for k in range(1, dist.shape[1] + 1):
+                near = probes._nearest(dist, k)
+                want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                assert (np.sort(near, axis=1) == np.sort(want, axis=1)).all()
+                assert (np.take_along_axis(dist, near, axis=1)
+                        == np.take_along_axis(dist, want, axis=1)).all()
+
+    def test_peak_memory_bounded_in_test_rows(self, rng, monkeypatch):
+        chunk = 1 << 14
+        monkeypatch.setattr(probes, "_CHUNK_DISTANCES", chunk)
+        d = 8
+        train = emb_set(rng.normal(size=(1000, d)),
+                        [str(c) for c in rng.integers(0, 3, size=1000)])
+
+        def peak_bytes(n_test):
+            test = emb_set(rng.normal(size=(n_test, d)), ["0"] * n_test)
+            tracemalloc.start()
+            try:
+                knn(train, test, k=20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, big = peak_bytes(250), peak_bytes(2000)
+        # the float64 and normalized copies of the extra test rows, plus
+        # per-row lists and indices; a full distance matrix would add
+        # 1750 * 1000 * 8 bytes = 14 MB
+        extra_inputs = (2000 - 250) * (2 * d * 8 + 64)
+        assert big - small <= 8 * chunk + extra_inputs, (small, big)
 
 
 class TestLinearProbe:
