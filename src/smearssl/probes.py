@@ -2,7 +2,8 @@
 and an exact k-nearest-neighbor voter.
 
 Both are deliberately plain: full-batch float64 math, no stochastic parts, so
-results are reproducible to the bit across machines.
+results are deterministic on one machine and BLAS build. Another BLAS may
+round a matrix product differently in the last bit.
 """
 
 from __future__ import annotations
@@ -45,43 +46,32 @@ class ProbeResult:
     converged: bool
 
 
-def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
-                 reg_lambda: float = 1e-4, max_epochs: int = 500,
-                 tol: float = 1e-6) -> ProbeResult:
-    """Softmax regression with an L2 penalty on weights (never the bias),
-    optimized by full-batch gradient descent with Armijo backtracking on the
-    train-set standardized features."""
-    if train.dim != test.dim:
-        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
-    if reg_lambda < 0:
-        raise ParameterError("reg_lambda must be >= 0")
-    y_train = _require_labels(train, "train")
-    y_test = _require_labels(test, "test")
-    classes = sorted(set(y_train))
-    if len(classes) < 2:
-        raise ProtocolError(f"train set has {len(classes)} class(es); need >= 2")
-    unseen = sorted(set(y_test) - set(classes))
-    if unseen:
-        log.warning("test classes absent from training: %s (always scored wrong)",
-                    unseen)
-    cindex = {c: i for i, c in enumerate(classes)}
-    n, d = train.vectors.shape
-    k = len(classes)
+def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
+                 max_epochs: int, tol: float
+                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Fits softmax regression to the standardized float64 rows of x [n, d]
+    with labels y_index in [0, k). Works class-major: x is copied once to a
+    contiguous [d, n], the weights are [k, d], and the logits, probabilities
+    and gradient are [k, n], so the max-shift and the softmax normalizer
+    reduce over axis 0, k contiguous rows, and the bias gradient over each
+    contiguous row. Returns the weights [k, d], the bias [k], the epochs run
+    and whether the gradient norm fell below tol."""
+    n = len(x)
+    xt = np.ascontiguousarray(x.T)
+    label = y_index * n + np.arange(n)  # flat index of [y_index, rows] in [k, n]
+    onehot = np.zeros((k, n))
+    onehot.flat[label] = 1.0
 
-    mean, std = _standardize_stats(train.vectors.astype(np.float64))
-    x = (train.vectors.astype(np.float64) - mean) / std
-    rows, y_index = np.arange(n), np.array([cindex[c] for c in y_train])
-    onehot = np.eye(k)[y_index]
-
-    w = np.zeros((d, k))
+    w = np.zeros((k, x.shape[1]))
     b = np.zeros(k)
 
     def forward(wm, bv):
-        logits = x @ wm + bv
-        logits -= logits.max(axis=1, keepdims=True)
-        expz = np.exp(logits)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        ce = -np.log(np.maximum(probs[rows, y_index], 1e-300)).mean()
+        probs = wm @ xt
+        probs += bv[:, None]
+        probs -= probs.max(axis=0)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=0)
+        ce = -np.log(np.maximum(probs.take(label), 1e-300)).sum() / n
         return probs, ce + 0.5 * reg_lambda * float((wm * wm).sum())
 
     step = 1.0
@@ -90,8 +80,8 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
     probs, value = forward(w, b)
     for epochs in range(1, max_epochs + 1):
         g = (probs - onehot) / n
-        gw = x.T @ g + reg_lambda * w
-        gb = g.sum(axis=0)
+        gw = g @ x + reg_lambda * w
+        gb = g.sum(axis=1)
         gnorm_sq = float((gw * gw).sum() + (gb * gb).sum())
         if np.sqrt(gnorm_sq) < tol:
             converged = True
@@ -105,16 +95,53 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
                 break
             step *= 0.5
         w, b, probs, value = w_new, b_new, probs_new, value_new
+    return w, b, epochs, converged
 
-    def predict(emb: EmbeddingSet) -> list[str]:
-        z = (emb.vectors.astype(np.float64) - mean) / std
-        return [classes[i] for i in (z @ w + b).argmax(axis=1)]
 
-    preds = predict(test)
+def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
+                 reg_lambda: float = 1e-4, max_epochs: int = 500,
+                 tol: float = 1e-6) -> ProbeResult:
+    """Softmax regression with an L2 penalty on weights (never the bias),
+    optimized by full-batch gradient descent with Armijo backtracking on the
+    train-set standardized features. The optimizer (`_fit_softmax`) keeps
+    logits, probabilities and gradients class-major, [classes, rows]. It
+    stops after max_epochs epochs, or earlier once the gradient norm falls
+    below tol (0 runs every epoch). Raises ParameterError for max_epochs < 1,
+    a negative or non-finite reg_lambda, or a negative or non-finite tol."""
+    if train.dim != test.dim:
+        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
+    if not (np.isfinite(reg_lambda) and reg_lambda >= 0):
+        raise ParameterError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
+    if max_epochs < 1:
+        raise ParameterError(f"max_epochs must be >= 1, got {max_epochs}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    y_train = _require_labels(train, "train")
+    y_test = _require_labels(test, "test")
+    classes = sorted(set(y_train))
+    if len(classes) < 2:
+        raise ProtocolError(f"train set has {len(classes)} class(es); need >= 2")
+    unseen = sorted(set(y_test) - set(classes))
+    if unseen:
+        log.warning("test classes absent from training: %s (always scored wrong)",
+                    unseen)
+    cindex = {c: i for i, c in enumerate(classes)}
+
+    x = train.vectors.astype(np.float64)
+    mean, std = _standardize_stats(x)
+    x = (x - mean) / std
+    y_index = np.array([cindex[c] for c in y_train])
+    w, b, epochs, converged = _fit_softmax(x, y_index, len(classes), reg_lambda,
+                                           max_epochs, tol)
+
+    def predict(z: np.ndarray) -> list[str]:
+        return [classes[i] for i in (w @ z.T + b[:, None]).argmax(axis=0)]
+
+    preds = predict((test.vectors.astype(np.float64) - mean) / std)
     return ProbeResult(
         predictions=preds,
         metrics=compute_metrics(y_test, preds),
-        train_metrics=compute_metrics(y_train, predict(train)),
+        train_metrics=compute_metrics(y_train, predict(x)),
         classes=classes,
         epochs_run=epochs,
         converged=converged,

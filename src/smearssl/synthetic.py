@@ -9,13 +9,12 @@ smoke test.
 
 Class eccentricity bands are deliberately disjoint for the first three
 classes so a single threshold on measured component eccentricity recovers the
-label; that keeps the corpus provably learnable.
+label; that keeps the corpus provably learnable (the tests check it).
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,65 +213,3 @@ def write_dataset(out_dir: str, samples: list[SynthSample],
     manifest = os.path.join(out_dir, "manifest.csv")
     save_manifest(manifest, records)
     return manifest
-
-
-def label_components(binary: np.ndarray) -> np.ndarray:
-    """4-connected component labeling by BFS; small images only."""
-    h, w = binary.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    nxt = 0
-    for sy in range(h):
-        for sx in range(w):
-            if not binary[sy, sx] or labels[sy, sx]:
-                continue
-            nxt += 1
-            queue = deque([(sy, sx)])
-            labels[sy, sx] = nxt
-            while queue:
-                y, x = queue.popleft()
-                for ny, nx_ in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx_ < w and binary[ny, nx_] \
-                            and not labels[ny, nx_]:
-                        labels[ny, nx_] = nxt
-                        queue.append((ny, nx_))
-    return labels
-
-
-def component_eccentricity(ys: np.ndarray, xs: np.ndarray) -> float:
-    """Eccentricity from the second moments of a pixel set."""
-    if ys.size < 3:
-        return 0.0
-    pts = np.stack([ys - ys.mean(), xs - xs.mean()])
-    cov = pts @ pts.T / ys.size
-    evals = np.linalg.eigvalsh(cov)
-    lo, hi = float(evals[0]), float(evals[1])
-    if hi <= 0:
-        return 0.0
-    return float(np.sqrt(max(0.0, 1.0 - lo / hi)))
-
-
-def eccentricity_feature(pixels: np.ndarray, min_pixels: int = 12) -> float:
-    """Mean component eccentricity of the dark foreground; the hand-crafted
-    feature that certifies the default classes are separable."""
-    luma = pixels.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-    fg = luma < (np.median(luma) - 20.0)
-    labels = label_components(fg)
-    eccs = []
-    for lab in range(1, labels.max() + 1):
-        ys, xs = np.nonzero(labels == lab)
-        if ys.size >= min_pixels:
-            eccs.append(component_eccentricity(ys, xs))
-    if not eccs:
-        return 0.0
-    return float(np.mean(eccs))
-
-
-def classify_by_eccentricity(pixels: np.ndarray) -> int:
-    """Threshold rule for the default 3-class configuration: disc below 0.35,
-    echinocyte between, sickle above 0.72."""
-    ecc = eccentricity_feature(pixels)
-    if ecc < 0.35:
-        return 0
-    if ecc < 0.72:
-        return 2
-    return 1

@@ -51,35 +51,6 @@ class VitConfig:
         return int(self.embed_dim * self.mlp_ratio)
 
 
-def vit_param_count(cfg: VitConfig) -> int:
-    """Closed-form parameter count for an encoder built from ``cfg``."""
-    d = cfg.embed_dim
-    h = cfg.mlp_hidden
-    stem = cfg.patch_size**2 * cfg.in_channels * d + d
-    pos = (cfg.num_patches + 1) * d
-    cls = d
-    block = (
-        2 * d  # ln1
-        + d * 3 * d + 3 * d  # fused qkv
-        + d * d + d  # attention output projection
-        + 2 * d  # ln2
-        + d * h + h + h * d + d  # mlp
-    )
-    return stem + pos + cls + cfg.depth * block + 2 * d
-
-
-def reference_size_configs() -> dict[str, VitConfig]:
-    """The three published model sizes (224 px, patch 14, mlp ratio 4).
-
-    Used only for parameter-count arithmetic; never instantiated here.
-    """
-    return {
-        "small": VitConfig(224, 14, 384, 12, 6, 4.0),
-        "base": VitConfig(224, 14, 768, 12, 12, 4.0),
-        "large": VitConfig(224, 14, 1024, 24, 16, 4.0),
-    }
-
-
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """N(0, std^2) samples rejected outside +-2 std."""
     out = rng.normal(0.0, std, size=shape)
@@ -180,9 +151,6 @@ class VitEncoder:
 
     def parameters(self) -> dict[str, T.Tensor]:
         return self.params
-
-    def param_count(self) -> int:
-        return sum(int(p.data.size) for p in self.params.values())
 
     def forward_tokens(self, images: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
         """Returns (cls [B,D], patch tokens [B,N,D]) after the final layernorm."""

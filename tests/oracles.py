@@ -1,12 +1,17 @@
-"""Independent reference implementations used to pin expected values.
+"""Independent reference implementations used to pin expected values, and
+the arithmetic and measurements only the tests need (parameter counts, the
+eccentricity check of the synthetic generator).
 
 Everything here is deliberately naive: double loops, dense eigensolvers,
 hand-rolled confusion matrices. Slow is fine; these only run in tests.
 """
 
+from collections import deque
+
 import numpy as np
 
 import smearssl.tensor as T
+from smearssl.vit import VitConfig, VitEncoder
 
 
 def finite_diff_grad(fn, tensors: list[T.Tensor], h: float = 1e-5,
@@ -164,3 +169,143 @@ def patch_count_formula(height: int, width: int, patch: int) -> int:
         height = int(round(height * scale))
         width = int(round(width * scale))
     return (height // patch) * (width // patch)
+
+
+def reference_linear_probe(x: np.ndarray, y_index: np.ndarray, k: int,
+                           reg_lambda: float, max_epochs: int, tol: float):
+    """Row-major transcription of the linear probe's optimizer: logits
+    [n, k] = x @ w + b on the standardized float64 rows of x, an L2 penalty
+    on w only, full-batch gradient descent with step-doubling Armijo
+    backtracking. Returns (w [d, k], b [k], epochs run, converged)."""
+    n, d = x.shape
+    rows = np.arange(n)
+    onehot = np.eye(k)[y_index]
+    w = np.zeros((d, k))
+    b = np.zeros(k)
+
+    def forward(wm, bv):
+        logits = x @ wm + bv
+        logits -= logits.max(axis=1, keepdims=True)
+        expz = np.exp(logits)
+        probs = expz / expz.sum(axis=1, keepdims=True)
+        ce = -np.log(np.maximum(probs[rows, y_index], 1e-300)).mean()
+        return probs, ce + 0.5 * reg_lambda * float((wm * wm).sum())
+
+    step = 1.0
+    epochs = 0
+    converged = False
+    probs, value = forward(w, b)
+    for epochs in range(1, max_epochs + 1):
+        g = (probs - onehot) / n
+        gw = x.T @ g + reg_lambda * w
+        gb = g.sum(axis=0)
+        gnorm_sq = float((gw * gw).sum() + (gb * gb).sum())
+        if np.sqrt(gnorm_sq) < tol:
+            converged = True
+            break
+        step = min(step * 2.0, 1e4)
+        while step > 1e-12:
+            w_new = w - step * gw
+            b_new = b - step * gb
+            probs_new, value_new = forward(w_new, b_new)
+            if value_new <= value - 1e-4 * step * gnorm_sq:
+                break
+            step *= 0.5
+        w, b, probs, value = w_new, b_new, probs_new, value_new
+    return w, b, epochs, converged
+
+
+def vit_param_count(cfg: VitConfig) -> int:
+    """Closed-form parameter count for an encoder built from ``cfg``."""
+    d = cfg.embed_dim
+    h = cfg.mlp_hidden
+    stem = cfg.patch_size**2 * cfg.in_channels * d + d
+    pos = (cfg.num_patches + 1) * d
+    cls = d
+    block = (
+        2 * d  # ln1
+        + d * 3 * d + 3 * d  # fused qkv
+        + d * d + d  # attention output projection
+        + 2 * d  # ln2
+        + d * h + h + h * d + d  # mlp
+    )
+    return stem + pos + cls + cfg.depth * block + 2 * d
+
+
+def encoder_param_count(enc: VitEncoder) -> int:
+    """Parameters an instantiated encoder actually holds."""
+    return sum(int(p.data.size) for p in enc.parameters().values())
+
+
+def reference_size_configs() -> dict[str, VitConfig]:
+    """The three published model sizes (224 px, patch 14, mlp ratio 4).
+
+    Used only for parameter-count arithmetic; never instantiated.
+    """
+    return {
+        "small": VitConfig(224, 14, 384, 12, 6, 4.0),
+        "base": VitConfig(224, 14, 768, 12, 12, 4.0),
+        "large": VitConfig(224, 14, 1024, 24, 16, 4.0),
+    }
+
+
+def label_components(binary: np.ndarray) -> np.ndarray:
+    """4-connected component labeling by BFS; small images only."""
+    h, w = binary.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    nxt = 0
+    for sy in range(h):
+        for sx in range(w):
+            if not binary[sy, sx] or labels[sy, sx]:
+                continue
+            nxt += 1
+            queue = deque([(sy, sx)])
+            labels[sy, sx] = nxt
+            while queue:
+                y, x = queue.popleft()
+                for ny, nx_ in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx_ < w and binary[ny, nx_] \
+                            and not labels[ny, nx_]:
+                        labels[ny, nx_] = nxt
+                        queue.append((ny, nx_))
+    return labels
+
+
+def component_eccentricity(ys: np.ndarray, xs: np.ndarray) -> float:
+    """Eccentricity from the second moments of a pixel set."""
+    if ys.size < 3:
+        return 0.0
+    pts = np.stack([ys - ys.mean(), xs - xs.mean()])
+    cov = pts @ pts.T / ys.size
+    evals = np.linalg.eigvalsh(cov)
+    lo, hi = float(evals[0]), float(evals[1])
+    if hi <= 0:
+        return 0.0
+    return float(np.sqrt(max(0.0, 1.0 - lo / hi)))
+
+
+def eccentricity_feature(pixels: np.ndarray, min_pixels: int = 12) -> float:
+    """Mean component eccentricity of the dark foreground; the hand-crafted
+    feature that certifies the default classes are separable."""
+    luma = pixels.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+    fg = luma < (np.median(luma) - 20.0)
+    labels = label_components(fg)
+    eccs = []
+    for lab in range(1, labels.max() + 1):
+        ys, xs = np.nonzero(labels == lab)
+        if ys.size >= min_pixels:
+            eccs.append(component_eccentricity(ys, xs))
+    if not eccs:
+        return 0.0
+    return float(np.mean(eccs))
+
+
+def classify_by_eccentricity(pixels: np.ndarray) -> int:
+    """Threshold rule for the default 3-class configuration: disc below 0.35,
+    echinocyte between, sickle above 0.72."""
+    ecc = eccentricity_feature(pixels)
+    if ecc < 0.35:
+        return 0
+    if ecc < 0.72:
+        return 2
+    return 1

@@ -450,6 +450,16 @@ class TestAdapterTransparency:
         acc = float(lines[1].split(",")[5])
         assert acc == 1.0  # classes are linearly separable by construction
 
+    def test_eval_linear_zero_epochs_refused(self, emb_files, tmp_path, capsys):
+        tr_path, te_path = emb_files
+        report_path = str(tmp_path / "lin.csv")
+        rc, _, err = run_cli(["eval-linear", "--train-emb", tr_path,
+                              "--test-emb", te_path, "--max-epochs", "0",
+                              "--report", report_path], capsys)
+        assert rc == 1
+        assert "max_epochs must be >= 1" in err
+        assert not os.path.exists(report_path)
+
     def test_eval_loso_matches_module_op(self, emb_files, tmp_path, capsys):
         tr_path, _ = emb_files
         report_path = str(tmp_path / "loso.csv")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import patch_count_formula
+from oracles import (classify_by_eccentricity, eccentricity_feature,
+                     patch_count_formula)
 from smearssl.augment import CropSpec, multicrop, resize_bilinear
 from smearssl.data import (
     ManifestRecord,
@@ -23,8 +24,6 @@ from smearssl.netpbm import read_pgm, read_ppm, write_pgm16, write_ppm
 from smearssl.synthetic import (
     CLASS_NAMES,
     SynthConfig,
-    classify_by_eccentricity,
-    eccentricity_feature,
     gen_synthetic,
     write_dataset,
 )

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_pca, naive_knn, naive_metrics
+from oracles import dense_pca, naive_knn, naive_metrics, reference_linear_probe
 from smearssl import probes
 from smearssl.data import load_manifest
 from smearssl.embeddings import (
@@ -338,6 +338,52 @@ class TestLinearProbe:
         out = linear_probe(train, train, max_epochs=500)
         assert out.epochs_run <= 500
         assert out.classes == ["a", "b"]
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_epochs", 0), ("max_epochs", -3),
+        ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-6),
+        ("reg_lambda", float("nan")), ("reg_lambda", float("inf")),
+        ("reg_lambda", -1.0),
+    ])
+    def test_bad_arguments_rejected(self, rng, name, value):
+        train = cluster_set(rng, classes=("a", "b"), d=2)
+        with pytest.raises(ParameterError, match=name):
+            linear_probe(train, train, **{name: value})
+
+    def test_class_major_fit_matches_row_major_oracle(self, rng):
+        # k > 8 takes numpy's pairwise-sum path in the row-major reductions.
+        def objective(x, y, w, b):
+            z = x @ w + b
+            top = z.max(axis=1, keepdims=True)
+            lse = top[:, 0] + np.log(np.exp(z - top).sum(axis=1))
+            return (lse - z[np.arange(len(y)), y]).mean() + 0.5e-4 * (w * w).sum()
+
+        for k in (2, 3, 5, 12, 24):
+            for d in (2, 64):
+                for tol in (0.0, 1e-6):
+                    n = int(rng.integers(7, 1601))
+                    y = rng.integers(0, k, n)
+                    x = rng.normal(size=(n, d)) + 1.5 * rng.normal(size=(k, d))[y]
+                    mean, std = probes._standardize_stats(x)
+                    x = (x - mean) / std
+                    w, b, epochs, converged = probes._fit_softmax(
+                        x, y, k, 1e-4, 500, tol)
+                    wr, br, epochs_r, converged_r = reference_linear_probe(
+                        x, y, k, 1e-4, 500, tol)
+                    case = (k, d, tol, n)
+                    assert (epochs, converged) == (epochs_r, converged_r), case
+                    got, want = x @ w.T + b, x @ wr + br
+                    np.testing.assert_array_equal(got.argmax(axis=1),
+                                                  want.argmax(axis=1), str(case))
+                    assert objective(x, y, w.T, b) == pytest.approx(
+                        objective(x, y, wr, br), rel=1e-12), case
+                    # Near the optimum the objective is flat to its last bits,
+                    # so an Armijo test can accept a step one halving larger
+                    # on one side. A fit that runs all its epochs gets there,
+                    # and then agrees only to about sqrt(float64 epsilon).
+                    rel = 1e-9 if converged else 1e-6
+                    scale = np.abs(want).max()
+                    assert np.abs(got - want).max() <= rel * scale, case
 
 
 class TestLoso:
