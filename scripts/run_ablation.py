@@ -5,7 +5,8 @@ Trains one arm per centering mode (none / ema / sinkhorn) with everything else
 held fixed, then reports prototype-usage entropy of the final teacher targets
 and cross-source 20-NN accuracy of the teacher encoder against the untrained
 baseline. The collapse shows up as entropy near zero and accuracy stuck at the
-random-init level.
+random-init level. The defaults are acceptance criterion 3's configuration,
+`smearssl.ablation`; each flag replaces one field of it.
 
 Example:
     python3 scripts/run_ablation.py --iterations 300 --out ablation.csv
@@ -13,21 +14,16 @@ Example:
 
 import argparse
 import csv
+import logging
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from smearssl.augment import CropSpec
-from smearssl.embeddings import EmbeddingSet
-from smearssl.metrics import compute_metrics
-from smearssl.objective import (SslConfig, head_forward,
-                                mean_assignment_entropy,
-                                teacher_targets_multiview)
-from smearssl.probes import knn
-from smearssl.synthetic import SynthConfig, gen_synthetic
-from smearssl.trainer import (TrainConfig, init_train_state, sample_batch,
-                              train_step)
+from smearssl import ablation
+from smearssl.synthetic import gen_synthetic
+from smearssl.trainer import init_train_state
 from smearssl.vit import VitConfig
 
 MODES = ("none", "ema", "sinkhorn")
@@ -35,96 +31,44 @@ MODES = ("none", "ema", "sinkhorn")
 
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--iterations", type=int, default=300)
-    ap.add_argument("--n-images", type=int, default=240)
-    ap.add_argument("--prototypes", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--iterations", type=int, default=ablation.TRAIN.iterations)
+    ap.add_argument("--n-images", type=int, default=ablation.SYNTH.n_images)
+    ap.add_argument("--prototypes", type=int,
+                    default=ablation.SSL.num_prototypes)
+    ap.add_argument("--seed", type=int, default=ablation.TRAIN.seed)
     ap.add_argument("--modes", nargs="+", default=list(MODES), choices=MODES)
     ap.add_argument("--out", help="optional CSV for the result table")
     return ap.parse_args()
 
 
-def build_corpus(args):
-    cfg = SynthConfig(n_images=args.n_images, sources=2, classes=3,
-                      seed=args.seed, cells_min=5, cells_max=5,
-                      cell_radius_lo=0.105, cell_radius_hi=0.115,
-                      tint_delta=0.015)
-    samples = gen_synthetic(cfg)
-    pixels = [s.image.pixels for s in samples]
-    labels = [s.label for s in samples]
-    sources = [s.image.source_id for s in samples]
-    return pixels, labels, sources
-
-
-def cross_source_acc(encoder, pixels, labels, sources, k=20):
-    x = np.stack(pixels).astype(np.float32) / 255.0
-    feats = encoder.forward(x).data
-    tr = [i for i in range(len(pixels)) if sources[i] == "src0"]
-    te = [i for i in range(len(pixels)) if sources[i] == "src1"]
-
-    def eset(idx):
-        return EmbeddingSet(feats[idx], ids=[str(i) for i in idx],
-                            sources=[sources[i] for i in idx],
-                            labels=[labels[i] for i in idx])
-
-    result = knn(eset(np.array(tr)), eset(np.array(te)), k=min(k, len(tr)))
-    return compute_metrics([labels[i] for i in te], result.predictions)["acc"]
-
-
-def run_arm(mode, pixels, labels, sources, args):
-    ssl = SslConfig(num_prototypes=args.prototypes, head_hidden=64,
-                    bottleneck=16, student_temp=0.1, teacher_temp=0.005,
-                    centering=mode)
-    crop = CropSpec(global_scale=(0.9, 1.0), jitter_p=0.0, jitter_strength=0.0,
-                    grayscale_p=0.5, blur_p=0.0, solarize_p=0.0)
-    tc = TrainConfig(iterations=args.iterations, batch_size=32, base_lr=5e-3,
-                     final_lr=1e-5, weight_decay=0.0,
-                     teacher_momentum_start=0.99, seed=args.seed)
-    state = init_train_state(VitConfig(), ssl, tc)
-    t0 = time.time()
-    for i in range(args.iterations):
-        loss = train_step(state, sample_batch(pixels, crop, tc,
-                                              state.iteration))
-        if i % 50 == 0:
-            print(f"  [{mode}] it {i:4d} loss {loss:.4f}", file=sys.stderr,
-                  flush=True)
-
-    views = sample_batch(pixels, crop, tc, state.iteration)
-    logits = []
-    for v in views[:2]:
-        lg, _ = head_forward(state.teacher_head, state.teacher_enc.forward(v))
-        logits.append(lg.data.copy())
-    targets = np.concatenate(teacher_targets_multiview(logits, ssl,
-                                                       state.centering))
-    return {
-        "mode": mode,
-        "final_loss": float(state.loss_history[-1]) if state.loss_history
-                      else float("nan"),
-        "entropy": mean_assignment_entropy(targets),
-        "marginal_dev": float(np.abs(targets.mean(axis=0)
-                                     - 1 / args.prototypes).max()),
-        "knn20_cross_source": cross_source_acc(state.teacher_enc, pixels,
-                                               labels, sources),
-        "seconds": round(time.time() - t0, 1),
-    }
-
-
 def main():
     args = parse_args()
-    pixels, labels, sources = build_corpus(args)
-    print(f"corpus: {len(pixels)} images, 2 sources, 3 classes",
+    logging.basicConfig(level=logging.INFO, format="  %(message)s")
+    synth = replace(ablation.SYNTH, n_images=args.n_images, seed=args.seed)
+    train = replace(ablation.TRAIN, iterations=args.iterations, seed=args.seed)
+    ssl = replace(ablation.SSL, num_prototypes=args.prototypes)
+    samples = gen_synthetic(synth)
+    print(f"corpus: {len(samples)} images, 2 sources, 3 classes",
           file=sys.stderr)
 
-    init_ssl = SslConfig(num_prototypes=args.prototypes, head_hidden=64,
-                         bottleneck=16)
-    init_tc = TrainConfig(iterations=1, seed=args.seed)
-    init_enc = init_train_state(VitConfig(), init_ssl, init_tc).teacher_enc
-    baseline = cross_source_acc(init_enc, pixels, labels, sources)
+    init_enc = init_train_state(VitConfig(), ssl, train).teacher_enc
+    baseline = ablation.cross_source_acc(init_enc, samples)
     print(f"random-init 20-NN cross-source accuracy: {baseline:.4f}",
           file=sys.stderr)
 
-    rows = [run_arm(mode, pixels, labels, sources, args)
-            for mode in args.modes]
+    rows = []
+    for mode in args.modes:
+        t0 = time.time()
+        arm = ablation.run_arm(mode, samples, ssl, train)
+        history = arm["loss_history"]
+        rows.append({
+            "mode": mode,
+            "final_loss": history[-1] if history else float("nan"),
+            "entropy": arm["entropy"],
+            "marginal_dev": arm["marginal_dev"],
+            "knn20_cross_source": arm["cross_source_acc"],
+            "seconds": round(time.time() - t0, 1),
+        })
 
     max_entropy = np.log(args.prototypes)
     header = (f"{'mode':>9}  {'loss':>7}  {'entropy':>8}  {'marg.dev':>9}  "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,37 +29,24 @@ from .vit import VitConfig
 MAGIC = b"RDCK"
 VERSION = 1
 
-_CONFIG_FIELDS = ("image_size", "patch_size", "embed_dim", "depth", "heads",
-                  "mlp_ratio", "in_channels")
+_CONFIG_FIELDS = fields(VitConfig)
 
 
 def _encode_config(cfg: VitConfig) -> bytes:
-    lines = []
-    for f in _CONFIG_FIELDS:
-        v = getattr(cfg, f)
-        lines.append(f"{f}={v!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(f"{f.name}={getattr(cfg, f.name)!r}\n"
+                   for f in _CONFIG_FIELDS).encode("utf-8")
 
 
 def _decode_config(raw: bytes) -> VitConfig:
-    kv = {}
-    for line in raw.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    missing = [f for f in _CONFIG_FIELDS if f not in kv]
+    """Each field is cast to the type of its default; lines that name no
+    field are ignored."""
+    pairs = (line.partition("=") for line in raw.decode("utf-8").splitlines())
+    kv = {key.strip(): val.strip() for key, _, val in pairs}
+    missing = [f.name for f in _CONFIG_FIELDS if f.name not in kv]
     if missing:
         raise InputError(f"checkpoint config missing fields: {missing}")
-    return VitConfig(
-        image_size=int(kv["image_size"]),
-        patch_size=int(kv["patch_size"]),
-        embed_dim=int(kv["embed_dim"]),
-        depth=int(kv["depth"]),
-        heads=int(kv["heads"]),
-        mlp_ratio=float(kv["mlp_ratio"]),
-        in_channels=int(kv["in_channels"]),
-    )
+    return VitConfig(**{f.name: type(f.default)(kv[f.name])
+                        for f in _CONFIG_FIELDS})
 
 
 def write_checkpoint(path: str, cfg: VitConfig, params: dict[str, np.ndarray]) -> None:

@@ -134,10 +134,9 @@ def cmd_train(args) -> int:
                                "seed": "run.seed"})
     records = load_manifest(args.manifest)
     images = load_images(records)
-    os.makedirs(args.out, exist_ok=True)
-    write_resolved(cfg, os.path.join(args.out, "config.resolved"))
     state = train(images, cfg.vit_config(), cfg.ssl_config(), cfg.train_config(),
                   cfg.crop_spec(), args.out, resume=args.resume)
+    write_resolved(cfg, os.path.join(args.out, "config.resolved"))
     log.info("finished at iteration %d; checkpoint in %s", state.iteration, args.out)
     return 0
 

@@ -8,7 +8,7 @@ random choice in the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .augment import CropSpec
 from .errors import InputError
@@ -17,62 +17,28 @@ from .synthetic import SynthConfig
 from .trainer import TrainConfig
 from .vit import VitConfig
 
+# Each section's keys are the fields of its dataclass, with their defaults,
+# except that run.seed sets `seed`, crop.global_scale_lo/hi are the two ends
+# of `global_scale`, and `in_channels` is not a key.
+_SECTIONS = {"vit": VitConfig, "ssl": SslConfig, "train": TrainConfig,
+             "crop": CropSpec, "synth": SynthConfig}
+
+
+def _section_defaults() -> dict[str, object]:
+    out: dict[str, object] = {}
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            if f.name == "global_scale":
+                out["crop.global_scale_lo"], out["crop.global_scale_hi"] = f.default
+            elif f.name not in ("seed", "in_channels"):
+                out[f"{section}.{f.name}"] = f.default
+    return out
+
+
 # key -> default; the default's type is the key's type.
 DEFAULTS: dict[str, object] = {
     "run.seed": 0,
-
-    "vit.image_size": 64,
-    "vit.patch_size": 8,
-    "vit.embed_dim": 64,
-    "vit.depth": 2,
-    "vit.heads": 4,
-    "vit.mlp_ratio": 4.0,
-
-    "ssl.head_hidden": 2048,
-    "ssl.bottleneck": 256,
-    "ssl.num_prototypes": 256,
-    "ssl.student_temp": 0.1,
-    "ssl.teacher_temp": 0.04,
-    "ssl.centering": "sinkhorn",
-    "ssl.center_momentum": 0.9,
-    "ssl.sinkhorn_iters": 3,
-    "ssl.koleo_enabled": False,
-    "ssl.koleo_weight": 0.1,
-    "ssl.koleo_eps": 1e-8,
-
-    "train.iterations": 300,
-    "train.batch_size": 32,
-    "train.base_lr": 1e-3,
-    "train.final_lr": 1e-5,
-    "train.warmup_frac": 0.1,
-    "train.weight_decay": 0.04,
-    "train.teacher_momentum_start": 0.992,
-    "train.teacher_momentum_end": 1.0,
-
-    "crop.global_size": 64,
-    "crop.global_scale_lo": 0.4,
-    "crop.global_scale_hi": 1.0,
-    "crop.flip_p": 0.5,
-    "crop.jitter_p": 0.8,
-    "crop.jitter_strength": 0.3,
-    "crop.grayscale_p": 0.1,
-    "crop.blur_p": 0.3,
-    "crop.blur_sigma": 1.0,
-    "crop.solarize_p": 0.1,
-    "crop.solarize_threshold": 0.5,
-
-    "synth.n_images": 60,
-    "synth.sources": 2,
-    "synth.classes": 3,
-    "synth.image_size": 64,
-    "synth.cells_min": 3,
-    "synth.cells_max": 6,
-    "synth.cell_radius_lo": 0.09,
-    "synth.cell_radius_hi": 0.13,
-    "synth.tint_delta": 0.04,
-    "synth.noise_base": 0.012,
-    "synth.noise_step": 0.008,
-    "synth.illum": 0.05,
+    **_section_defaults(),
 
     "data.patch_size": 224,
     "data.cell_size": 224,
@@ -139,57 +105,30 @@ class RunConfig:
             raise InputError(f"unknown config key: {key}")
         self.values[key] = value
 
-    # section builders -----------------------------------------------------
+    def _build(self, section: str):
+        cls = _SECTIONS[section]
+        kw = {k.split(".", 1)[1]: v for k, v in self.values.items()
+              if k.startswith(section + ".")}
+        if section == "crop":
+            kw["global_scale"] = (kw.pop("global_scale_lo"), kw.pop("global_scale_hi"))
+        if "seed" in {f.name for f in fields(cls)}:
+            kw["seed"] = self.get("run.seed")
+        return cls(**kw)
 
     def vit_config(self) -> VitConfig:
-        g = self.get
-        return VitConfig(image_size=g("vit.image_size"), patch_size=g("vit.patch_size"),
-                         embed_dim=g("vit.embed_dim"), depth=g("vit.depth"),
-                         heads=g("vit.heads"), mlp_ratio=g("vit.mlp_ratio"))
+        return self._build("vit")
 
     def ssl_config(self) -> SslConfig:
-        g = self.get
-        return SslConfig(
-            head_hidden=g("ssl.head_hidden"), bottleneck=g("ssl.bottleneck"),
-            num_prototypes=g("ssl.num_prototypes"),
-            student_temp=g("ssl.student_temp"), teacher_temp=g("ssl.teacher_temp"),
-            centering=g("ssl.centering"), center_momentum=g("ssl.center_momentum"),
-            sinkhorn_iters=g("ssl.sinkhorn_iters"),
-            koleo_enabled=g("ssl.koleo_enabled"), koleo_weight=g("ssl.koleo_weight"),
-            koleo_eps=g("ssl.koleo_eps"))
+        return self._build("ssl")
 
     def train_config(self) -> TrainConfig:
-        g = self.get
-        return TrainConfig(
-            iterations=g("train.iterations"), batch_size=g("train.batch_size"),
-            base_lr=g("train.base_lr"), final_lr=g("train.final_lr"),
-            warmup_frac=g("train.warmup_frac"), weight_decay=g("train.weight_decay"),
-            teacher_momentum_start=g("train.teacher_momentum_start"),
-            teacher_momentum_end=g("train.teacher_momentum_end"),
-            seed=g("run.seed"))
+        return self._build("train")
 
     def crop_spec(self) -> CropSpec:
-        g = self.get
-        return CropSpec(
-            global_size=g("crop.global_size"),
-            global_scale=(g("crop.global_scale_lo"), g("crop.global_scale_hi")),
-            flip_p=g("crop.flip_p"), jitter_p=g("crop.jitter_p"),
-            jitter_strength=g("crop.jitter_strength"),
-            grayscale_p=g("crop.grayscale_p"), blur_p=g("crop.blur_p"),
-            blur_sigma=g("crop.blur_sigma"), solarize_p=g("crop.solarize_p"),
-            solarize_threshold=g("crop.solarize_threshold"))
+        return self._build("crop")
 
     def synth_config(self) -> SynthConfig:
-        g = self.get
-        return SynthConfig(
-            n_images=g("synth.n_images"), sources=g("synth.sources"),
-            classes=g("synth.classes"), image_size=g("synth.image_size"),
-            cells_min=g("synth.cells_min"), cells_max=g("synth.cells_max"),
-            cell_radius_lo=g("synth.cell_radius_lo"),
-            cell_radius_hi=g("synth.cell_radius_hi"),
-            tint_delta=g("synth.tint_delta"), noise_base=g("synth.noise_base"),
-            noise_step=g("synth.noise_step"), illum=g("synth.illum"),
-            seed=g("run.seed"))
+        return self._build("synth")
 
     def classifier_spec(self) -> dict:
         g = self.get

@@ -77,14 +77,6 @@ def patchify(img: SmearImage, patch: int = 224) -> list[np.ndarray]:
     return out
 
 
-def patchify_count(height: int, width: int, patch: int = 224) -> int:
-    """Closed-form tile count matching `patchify`."""
-    if min(height, width) < patch:
-        factor = patch / min(height, width)
-        height, width = int(round(height * factor)), int(round(width * factor))
-    return (height // patch) * (width // patch)
-
-
 def _median_border_color(pixels: np.ndarray) -> np.ndarray:
     h, w = pixels.shape[:2]
     ring = np.concatenate([

@@ -208,3 +208,9 @@ def mean_assignment_entropy(targets: np.ndarray) -> float:
     p = p / p.sum()
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def marginal_deviation(targets: np.ndarray) -> float:
+    """Largest gap between a prototype's batch-averaged assignment and the
+    uniform 1/K; Sinkhorn balancing drives it to 0."""
+    return float(np.abs(targets.mean(axis=0) - 1 / targets.shape[1]).max())

@@ -214,6 +214,16 @@ def _adamw_step(state: TrainState, lr: float) -> None:
         p.data -= update
 
 
+def teacher_targets(state: TrainState, stacked: np.ndarray) -> list[np.ndarray]:
+    """The teacher pass, values only, no tape: per-view targets for two views
+    stacked to [2B, ...]. Under ema centering it updates the center once."""
+    b = stacked.shape[0] // 2
+    teacher_logits = head_forward(state.teacher_head,
+                                  state.teacher_enc.forward(stacked))[0].data
+    return teacher_targets_multiview([teacher_logits[:b], teacher_logits[b:]],
+                                     state.ssl_cfg, state.centering)
+
+
 def train_step(state: TrainState, views: list[np.ndarray]) -> float:
     """One optimization step on the two global views of a batch. Each tower
     runs once on both views stacked to [2B, ...]; its output rows are then
@@ -228,12 +238,7 @@ def train_step(state: TrainState, views: list[np.ndarray]) -> float:
         raise ParameterError("batch_size must be >= 2 for batch-level terms")
     sched = schedule(state.iteration, state.train_cfg)
     stacked = np.concatenate(views, axis=0)
-
-    # teacher pass: values only, no tape
-    teacher_logits = head_forward(state.teacher_head,
-                                  state.teacher_enc.forward(stacked))[0].data
-    targets = teacher_targets_multiview([teacher_logits[:b], teacher_logits[b:]],
-                                        state.ssl_cfg, state.centering)
+    targets = teacher_targets(state, stacked)
 
     def per_view(t: T.Tensor) -> list[T.Tensor]:
         return [T.narrow(t, 0, 0, b), T.narrow(t, 0, b, b)]
@@ -261,7 +266,8 @@ def train_step(state: TrainState, views: list[np.ndarray]) -> float:
 _STATE_META = "meta.counters"
 
 
-def save_train_state(path: str, state: TrainState) -> None:
+def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
+    """`state.rdck`'s blobs in write order; params and moments are not copies."""
     blobs: dict[str, np.ndarray] = {}
     for name, p in state.student_params().items():
         blobs[f"student.{name}"] = p.data
@@ -273,20 +279,27 @@ def save_train_state(path: str, state: TrainState) -> None:
         blobs[f"adam.v.{name}"] = v
     blobs["center"] = state.centering.center.astype(np.float32)
     blobs[_STATE_META] = np.array([state.iteration], dtype=np.float32)
-    write_checkpoint(path, state.vit_cfg, blobs)
+    return blobs
+
+
+def save_train_state(path: str, state: TrainState) -> None:
+    write_checkpoint(path, state.vit_cfg, _state_blobs(state))
 
 
 def load_train_state(path: str, ssl_cfg: SslConfig,
                      train_cfg: TrainConfig) -> TrainState:
+    """Raises InputError unless the file holds every blob that a state
+    built from these configs has, each in that state's shape."""
     vit_cfg, blobs = read_checkpoint(path)
     state = init_train_state(vit_cfg, ssl_cfg, train_cfg)
-    for name, p in state.student_params().items():
-        p.data = blobs[f"student.{name}"].copy()
-    for name, p in state.teacher_params().items():
-        p.data = blobs[f"teacher.{name}"].copy()
-    for name in state.moments_m:
-        state.moments_m[name] = blobs[f"adam.m.{name}"].copy()
-        state.moments_v[name] = blobs[f"adam.v.{name}"].copy()
+    for name, want in _state_blobs(state).items():
+        if name not in blobs:
+            raise InputError(f"{path}: not a training state for this config: "
+                             f"blob {name!r} is missing")
+        if blobs[name].shape != want.shape:
+            raise InputError(f"{path}: blob {name!r} has shape {blobs[name].shape}, "
+                             f"this config expects {want.shape}")
+        want[...] = blobs[name]
     state.centering.center = blobs["center"].astype(np.float64)
     state.iteration = int(blobs[_STATE_META][0])
     return state

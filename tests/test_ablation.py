@@ -1,0 +1,49 @@
+"""The collapse ablation: `smearssl.ablation` and the script that runs it."""
+
+import csv
+import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
+
+from smearssl import ablation
+from smearssl.synthetic import gen_synthetic
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COLUMNS = ["mode", "final_loss", "entropy", "marginal_dev",
+           "knn20_cross_source", "seconds"]
+
+
+def test_run_arm_returns_picklable_numbers():
+    # 25 images: src0 has 13 rows and src1 12, below k = 20 both ways.
+    samples = gen_synthetic(replace(ablation.SYNTH, n_images=25))
+    train = replace(ablation.TRAIN, iterations=1)
+    arm = ablation.run_arm("ema", samples, train=train)
+    assert sorted(arm) == ["cross_source_acc", "entropy", "loss_history",
+                           "marginal_dev"]
+    assert len(arm["loss_history"]) == 1
+    assert all(type(v) is float for v in arm["loss_history"])
+    for key in ("cross_source_acc", "entropy", "marginal_dev"):
+        assert type(arm[key]) is float and math.isfinite(arm[key]), key
+    assert pickle.loads(pickle.dumps((ablation.run_arm, samples, arm)))[2] == arm
+
+
+def test_script_smoke(tmp_path):
+    out = tmp_path / "ablation.csv"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_ablation.py"),
+         "--iterations", "2", "--n-images", "24", "--modes", "none",
+         "sinkhorn", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == COLUMNS
+    assert [r["mode"] for r in rows] == ["none", "sinkhorn"]
+    for row in rows:
+        for key in COLUMNS[1:]:
+            assert math.isfinite(float(row[key])), (row["mode"], key)

@@ -229,6 +229,12 @@ class TestConfigPlumbing:
         back = parse_config_text(cfg.resolved_text())
         assert back.values == cfg.values
 
+    def test_resolved_defaults_match_golden(self):
+        # Pins all 60 keys and, through their formatting, their types:
+        # floats print with a point, booleans as true/false.
+        with open(os.path.join(GOLDEN_DIR, "config.resolved")) as fh:
+            assert RunConfig().resolved_text() == fh.read()
+
     def test_resolved_text_groups_sections(self):
         text = RunConfig().resolved_text()
         lines = text.splitlines()
@@ -378,6 +384,25 @@ class TestTrainCommands:
         assert enc.params.keys() == ref.teacher_enc.params.keys()
         for name, p in enc.params.items():
             assert np.array_equal(p.data, ref.teacher_enc.params[name].data)
+
+    def test_resume_with_another_head_is_validation_error(self, dataset,
+                                                          tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(out), "--iterations", "2", "--batch-size", "2"]
+        rc, _, _ = run_cli(argv + tiny_args(), capsys)
+        assert rc == 0
+        state = (out / "state.rdck").read_bytes()
+        resolved = (out / "config.resolved").read_text()
+
+        rc, _, err = run_cli(argv + tiny_args(["--resume", "--set",
+                                               "ssl.num_prototypes=12"]),
+                             capsys)
+        assert rc == 1
+        assert ("blob 'student.head.prototypes' has shape (8, 8), this config "
+                "expects (12, 8)") in err
+        assert (out / "state.rdck").read_bytes() == state
+        assert (out / "config.resolved").read_text() == resolved
 
     def test_train_missing_manifest_is_validation_error(self, tmp_path, capsys):
         rc, _, err = run_cli(["train", "--manifest",

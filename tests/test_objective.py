@@ -16,6 +16,7 @@ from smearssl.objective import (
     head_forward,
     init_head_params,
     koleo_loss,
+    marginal_deviation,
     mean_assignment_entropy,
     renormalize_prototypes,
     sinkhorn_targets,
@@ -356,6 +357,13 @@ class TestConfigValidation:
         onehot = np.zeros((4, k))
         onehot[:, 3] = 1.0
         assert mean_assignment_entropy(onehot) == 0.0
+
+    def test_marginal_deviation_extremes(self):
+        k = 16
+        assert marginal_deviation(np.full((4, k), 1.0 / k)) == 0.0
+        onehot = np.zeros((4, k))
+        onehot[:, 3] = 1.0
+        assert marginal_deviation(onehot) == 1.0 - 1.0 / k
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 import smearssl.tensor as T
 import smearssl.trainer as trainer_mod
 from smearssl.augment import CropSpec
+from smearssl.checkpoint import _decode_config, _encode_config
 from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
 from smearssl.objective import (SslConfig, head_forward,
                                 teacher_targets_multiview, total_loss)
@@ -450,6 +451,23 @@ class TestPersistence:
         np.testing.assert_array_equal(enc.forward(probe).data,
                                       state.teacher_enc.forward(probe).data)
 
+    def test_load_rejects_state_of_another_head(self, tmp_path):
+        cfg = tiny_train_cfg()
+        path = str(tmp_path / "state.rdck")
+        save_train_state(path, init_train_state(TINY_VIT, TINY_SSL, cfg))
+        wider = SslConfig(head_hidden=16, bottleneck=8, num_prototypes=12)
+        with pytest.raises(InputError, match=r"'student\.head\.prototypes' "
+                           r"has shape \(8, 8\), this config expects \(12, 8\)"):
+            load_train_state(path, wider, cfg)
+
+    def test_load_rejects_encoder_checkpoint(self, tmp_path):
+        cfg = tiny_train_cfg()
+        path = str(tmp_path / "state.rdck")
+        export_teacher(path, init_train_state(TINY_VIT, TINY_SSL, cfg))
+        with pytest.raises(InputError, match=r"not a training state.*"
+                           r"'student\.encoder\.\S+' is missing"):
+            load_train_state(path, TINY_SSL, cfg)
+
     def test_load_encoder_rejects_full_state(self, tmp_path):
         cfg = tiny_train_cfg()
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
@@ -457,6 +475,33 @@ class TestPersistence:
         save_train_state(path, state)
         with pytest.raises(InputError):
             load_encoder(path)
+
+
+class TestCheckpointHeader:
+    OTHER = VitConfig(image_size=96, patch_size=16, embed_dim=48, depth=3,
+                      heads=6, mlp_ratio=2.5, in_channels=1)
+
+    def test_encoded_bytes_match_golden(self):
+        assert _encode_config(VitConfig()) == (
+            b"image_size=64\npatch_size=8\nembed_dim=64\ndepth=2\nheads=4\n"
+            b"mlp_ratio=4.0\nin_channels=3\n")
+        assert _encode_config(self.OTHER) == (
+            b"image_size=96\npatch_size=16\nembed_dim=48\ndepth=3\nheads=6\n"
+            b"mlp_ratio=2.5\nin_channels=1\n")
+
+    def test_decode_restores_types(self):
+        back = _decode_config(_encode_config(self.OTHER))
+        assert back == self.OTHER
+        assert type(back.mlp_ratio) is float and type(back.depth) is int
+
+    def test_decode_ignores_unknown_lines(self):
+        raw = _encode_config(self.OTHER) + b"foo=1\n"
+        assert _decode_config(raw) == self.OTHER
+
+    def test_decode_rejects_missing_field(self):
+        raw = _encode_config(self.OTHER).replace(b"depth=3\n", b"")
+        with pytest.raises(InputError, match="depth"):
+            _decode_config(raw)
 
 
 class TestTrainConfigValidation:
