@@ -14,8 +14,8 @@ from .embeddings import EmbeddingSet
 from .objective import SslConfig, marginal_deviation, mean_assignment_entropy
 from .protocols import leave_one_source_out
 from .synthetic import SynthConfig, SynthSample
-from .trainer import (TrainConfig, init_train_state, sample_batch,
-                      teacher_targets, train_step)
+from .trainer import (TrainConfig, init_train_state, keep_freed_memory,
+                      sample_batch, teacher_targets, train_step)
 from .vit import VitConfig, VitEncoder
 
 log = logging.getLogger("smearssl.ablation")
@@ -49,6 +49,7 @@ def run_arm(mode: str, samples: list[SynthSample], ssl: SslConfig = SSL,
             train: TrainConfig = TRAIN) -> dict:
     """Train one arm with centering `mode`; score the teacher targets of the
     next batch. Returns entropy, marginal_dev, cross_source_acc, loss_history."""
+    keep_freed_memory()
     pixels = [s.image.pixels for s in samples]
     state = init_train_state(VitConfig(), replace(ssl, centering=mode), train)
     for i in range(train.iterations):

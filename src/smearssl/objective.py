@@ -70,9 +70,9 @@ def init_head_params(cfg: SslConfig, embed_dim: int, rng: np.random.Generator,
 
 def head_forward(params: dict[str, T.Tensor], x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Embedding [B,D] -> (prototype logits [B,K], bottleneck z [B,bottleneck])."""
-    h = T.gelu(T.matmul(x, params["fc1.weight"]) + params["fc1.bias"])
-    h = T.gelu(T.matmul(h, params["fc2.weight"]) + params["fc2.bias"])
-    z = T.matmul(h, params["fc3.weight"]) + params["fc3.bias"]
+    h = T.gelu(T.linear(x, params["fc1.weight"], params["fc1.bias"]))
+    h = T.gelu(T.linear(h, params["fc2.weight"], params["fc2.bias"]))
+    z = T.linear(h, params["fc3.weight"], params["fc3.bias"])
     zn = T.l2_normalize(z, axis=-1)
     logits = T.matmul(zn, T.transpose(params["prototypes"], (1, 0)))
     return logits, z

@@ -53,12 +53,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Adds ``g`` into ``grad``. The first gradient is copied, unless the
+        caller passes ``owned`` for a fresh array that nothing else holds:
+        then a C-ordered one in this tensor's dtype is kept as it is."""
         if g.shape != self.data.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
+            if owned and g.dtype == self.data.dtype and g.flags.c_contiguous:
+                self.grad = g
+                return
             self.grad = np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g
@@ -288,6 +294,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [..., k], w [k, n] and b [n], as one record with
+    the float ops of ``matmul`` followed by ``add``."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: shapes {x.shape} x {w.shape} + {b.shape}")
+    k, n = w.shape
+    data = x.data @ w.data
+    data += b.data
+    out = Tensor(data)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad
+        g2 = g.reshape(-1, n)
+        if b.requires_grad:
+            b.accumulate_grad(g2.sum(axis=0), owned=True)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.reshape(-1, k).T @ g2, owned=True)
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T, owned=True)
+
+    return _maybe_record(out, (x, w, b), backward)
+
+
 # --- structural ops -----------------------------------------------------
 
 
@@ -433,24 +464,45 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation. Forward and backward work in place on
+    buffers they allocate, with the float ops of the written-out formula in
+    its order, so the bits match it."""
     x = a.data
     # x * x * x, not x**3: numpy's float32 pow is generic and ~80x slower
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C  # _GELU_C * (x + 0.044715 * x^3)
+    one_t = np.tanh(inner)
+    one_t += 1.0
+    y = x * 0.5
+    y *= one_t  # 0.5 * x * (1 + tanh(inner))
+    out = Tensor(y)
 
     def backward():
         if out.grad is None or not a.requires_grad:
             return
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = x * x
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
         # 1 - t**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): float32 tanh
         # can sit an ulp below 1 where 1 - t**2 is ~1e-8, and x * dinner
         # magnifies that ulp ~30x at |x| = 8
-        e = np.exp(-2.0 * np.abs(inner))
-        sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-        local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
-        a.accumulate_grad(out.grad * local.astype(a.dtype, copy=False))
+        e = np.abs(inner)
+        e *= -2.0
+        np.exp(e, out=e)
+        buf = e + 1.0
+        buf *= buf
+        e *= 4.0
+        e /= buf  # sech2
+        local = np.multiply(x, 0.5, out=buf)
+        local *= e
+        local *= dinner
+        local += np.multiply(one_t, 0.5, out=e)
+        local *= out.grad  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
+        a.accumulate_grad(local, owned=True)
 
     return _maybe_record(out, (a,), backward)
 
@@ -475,6 +527,49 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
         a.accumulate_grad((s * (g - dot)) / temperature)
 
     return _maybe_record(out, (a,), backward)
+
+
+def attention(qkv: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention core as one record: packed q|k|v tokens
+    [B, T, 3D] -> softmax(q kT / sqrt(D/heads)) v, heads merged to [B, T, D].
+
+    Forward and gradients are bit-identical to the same computation built
+    from reshape, transpose, narrow, matmul, mul and softmax records: BLAS
+    rounds by operand layout, so every matmul here, backward included, gets
+    that composition's layouts (contiguous or transposed views)."""
+    b, t, d3 = qkv.shape
+    if d3 % (3 * heads) != 0:
+        raise DimensionError(f"attention: packed width {d3} not divisible by 3 x {heads} heads")
+    d = d3 // 3
+    dh = d // heads
+    split = qkv.data.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    q = np.ascontiguousarray(split[0])  # [B,h,T,dh]
+    kt = np.ascontiguousarray(split[1].swapaxes(-1, -2))  # [B,h,dh,T]
+    v = np.ascontiguousarray(split[2])
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=qkv.dtype)
+    s = q @ kt
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = Tensor((s @ v).transpose(0, 2, 1, 3).reshape(b, t, d))
+
+    def backward():
+        if out.grad is None or not qkv.requires_grad:
+            return
+        gc = out.grad.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+        gs = gc @ v.swapaxes(-1, -2)
+        gv = s.swapaxes(-1, -2) @ gc
+        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs *= s
+        gs *= scale
+        grad = np.empty((b, t, 3, heads, dh), dtype=qkv.dtype)
+        grad[:, :, 0] = (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+        grad[:, :, 1] = (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
+        grad[:, :, 2] = gv.transpose(0, 2, 1, 3)
+        qkv.accumulate_grad(grad.reshape(b, t, d3), owned=True)
+
+    return _maybe_record(out, (qkv,), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -8,6 +8,7 @@ straight run.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import os
@@ -33,6 +34,9 @@ ADAM_EPS = 1e-8
 _STREAM_BATCH = 1
 _STREAM_AUG = 2
 
+# state.rdck keeps the iteration in a float32 blob, exact up to 2**24
+MAX_ITERATIONS = 2**24
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -47,8 +51,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ParameterError("iterations must be >= 0")
+        if not 0 <= self.iterations <= MAX_ITERATIONS:
+            raise ParameterError(f"iterations must lie in [0, {MAX_ITERATIONS}]")
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
         if self.base_lr <= 0 or self.final_lr < 0:
@@ -324,11 +328,27 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def keep_freed_memory() -> None:
+    """Pins glibc's malloc thresholds (trim 256 MB, mmap 32 MB) so a step's
+    freed temporaries are reused by the next step instead of going back to
+    the kernel and faulting in again page by page. glibc's defaults move
+    with the allocation history: without this, one small-head step (batch
+    8, 2 vCPUs) took 80 ms with 12k page faults or 50 ms with none, by heap
+    layout alone. A no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def train(images: list[np.ndarray], vit_cfg: VitConfig, ssl_cfg: SslConfig,
           train_cfg: TrainConfig, crop: CropSpec, out_dir: str,
           resume: bool = False) -> TrainState:
     """Full run: optimize, then write `checkpoint.rdck` (teacher encoder),
     `state.rdck` (resumable full state), and `loss_log.csv`."""
+    keep_freed_memory()
     os.makedirs(out_dir, exist_ok=True)
     state_path = os.path.join(out_dir, "state.rdck")
     log_path = os.path.join(out_dir, "loss_log.csv")

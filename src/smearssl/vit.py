@@ -116,26 +116,6 @@ def init_vit_params(cfg: VitConfig, rng: np.random.Generator, dtype=np.float32) 
     return {k: T.Tensor(v.astype(dtype), requires_grad=True) for k, v in params.items()}
 
 
-def attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
-              proj_w: T.Tensor, proj_b: T.Tensor, heads: int) -> T.Tensor:
-    """Multi-head self-attention over [B, T, D] tokens."""
-    b, t, d = tokens.shape
-    if d % heads != 0:
-        raise DimensionError(f"token dim {d} not divisible by heads {heads}")
-    dh = d // heads
-    qkv = T.matmul(tokens, qkv_w) + qkv_b  # [B,T,3D]
-    qkv = T.reshape(qkv, (b, t, 3, heads, dh))
-    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # [3,B,h,T,dh]
-    q = T.reshape(T.narrow(qkv, 0, 0, 1), (b, heads, t, dh))
-    k = T.reshape(T.narrow(qkv, 0, 1, 1), (b, heads, t, dh))
-    v = T.reshape(T.narrow(qkv, 0, 2, 1), (b, heads, t, dh))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    ctx = T.matmul(attn, v)  # [B,h,T,dh]
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    return T.matmul(ctx, proj_w) + proj_b
-
-
 class VitEncoder:
     """Pre-norm ViT; forward returns the CLS embedding after the final
     layernorm, with patch tokens exposed for the feature-map path."""
@@ -157,7 +137,7 @@ class VitEncoder:
         cfg, p = self.cfg, self.params
         patches = images_to_patches(np.asarray(images), cfg)
         x = T.Tensor(patches.astype(p["patch_proj.weight"].dtype, copy=False))
-        x = T.matmul(x, p["patch_proj.weight"]) + p["patch_proj.bias"]  # [B,N,D]
+        x = T.linear(x, p["patch_proj.weight"], p["patch_proj.bias"])  # [B,N,D]
         b = x.shape[0]
         cls = T.reshape(p["cls_token"], (1, cfg.embed_dim))
         cls_rows = T.concat([cls] * b, axis=0)  # [B,D]
@@ -167,12 +147,12 @@ class VitEncoder:
         for i in range(cfg.depth):
             pre = f"blocks.{i}."
             h = T.layernorm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"], self.LN_EPS)
-            x = x + attention(h, p[pre + "attn.qkv.weight"], p[pre + "attn.qkv.bias"],
-                              p[pre + "attn.proj.weight"], p[pre + "attn.proj.bias"], cfg.heads)
+            h = T.attention(T.linear(h, p[pre + "attn.qkv.weight"], p[pre + "attn.qkv.bias"]),
+                            cfg.heads)
+            x = x + T.linear(h, p[pre + "attn.proj.weight"], p[pre + "attn.proj.bias"])
             h = T.layernorm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"], self.LN_EPS)
-            h = T.matmul(h, p[pre + "mlp.fc1.weight"]) + p[pre + "mlp.fc1.bias"]
-            h = T.gelu(h)
-            h = T.matmul(h, p[pre + "mlp.fc2.weight"]) + p[pre + "mlp.fc2.bias"]
+            h = T.gelu(T.linear(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"]))
+            h = T.linear(h, p[pre + "mlp.fc2.weight"], p[pre + "mlp.fc2.bias"])
             x = x + h
             x.check_finite(f"encoder block {i} output")
         x = T.layernorm(x, p["final_ln.gain"], p["final_ln.bias"], self.LN_EPS)

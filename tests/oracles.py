@@ -6,6 +6,7 @@ Everything here is deliberately naive: double loops, dense eigensolvers,
 hand-rolled confusion matrices. Slow is fine; these only run in tests.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -213,6 +214,41 @@ def reference_linear_probe(x: np.ndarray, y_index: np.ndarray, k: int,
             step *= 0.5
         w, b, probs, value = w_new, b_new, probs_new, value_new
     return w, b, epochs, converged
+
+
+def reference_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh form) and its input gradient for upstream ``g``, written
+    out as plain expressions: the float ops the in-place ``T.gelu`` must
+    match bit for bit."""
+    c = math.sqrt(2.0 / math.pi)  # a Python float, so float32 stays float32
+    inner = c * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    y = 0.5 * x * (1.0 + t)
+    dinner = c * (1.0 + 3 * 0.044715 * x**2)
+    e = np.exp(-2.0 * np.abs(inner))
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
+    return y, g * local
+
+
+def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
+                        proj_w: T.Tensor, proj_b: T.Tensor, heads: int) -> T.Tensor:
+    """Multi-head self-attention over [B, T, D] tokens, composed from the
+    generic primitives one step at a time: the form the fused
+    ``T.linear``/``T.attention`` records must match bit for bit."""
+    b, t, d = tokens.shape
+    dh = d // heads
+    qkv = T.matmul(tokens, qkv_w) + qkv_b  # [B,T,3D]
+    qkv = T.reshape(qkv, (b, t, 3, heads, dh))
+    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # [3,B,h,T,dh]
+    q = T.reshape(T.narrow(qkv, 0, 0, 1), (b, heads, t, dh))
+    k = T.reshape(T.narrow(qkv, 0, 1, 1), (b, heads, t, dh))
+    v = T.reshape(T.narrow(qkv, 0, 2, 1), (b, heads, t, dh))
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    attn = T.softmax(scores, axis=-1)
+    ctx = T.matmul(attn, v)  # [B,h,T,dh]
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+    return T.matmul(ctx, proj_w) + proj_b
 
 
 def vit_param_count(cfg: VitConfig) -> int:

@@ -102,6 +102,21 @@ def _case_matmul(rng):
     return [a, b], lambda ts: _weighted_sum(T.matmul(ts[0], ts[1]), w)
 
 
+def _case_linear(rng):
+    x_shape = (3, 4) if rng.random() < 0.5 else (2, 3, 4)
+    x, w, b = _t(rng, x_shape), _t(rng, (4, 5)), _t(rng, (5,))
+    wt = rng.normal(size=x_shape[:-1] + (5,))
+    return [x, w, b], lambda ts: _weighted_sum(T.linear(ts[0], ts[1], ts[2]), wt)
+
+
+def _case_attention(rng):
+    heads = int(rng.integers(1, 3))
+    d = heads * int(rng.integers(2, 4))
+    qkv = _t(rng, (2, 3, 3 * d))
+    w = rng.normal(size=(2, 3, d))
+    return [qkv], lambda ts: _weighted_sum(T.attention(ts[0], heads), w)
+
+
 def _case_transpose(rng):
     a = _t(rng, (2, 3, 4))
     axes = tuple(int(i) for i in rng.permutation(3))
@@ -229,6 +244,9 @@ PRIMITIVE_CASES = {
     "log_softmax": _case_log_softmax,
     "layernorm": _case_layernorm,
     "l2_normalize": _case_l2_normalize,
+    # appended, so the seeds of the cases above stay as they were
+    "linear": _case_linear,
+    "attention": _case_attention,
 }
 
 CASES_PER_PRIMITIVE = 20

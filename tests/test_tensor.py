@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smearssl.tensor as T
-from oracles import grad_check
+from oracles import grad_check, reference_attention, reference_gelu
 
 
 def t64(arr, grad=True):
@@ -175,9 +175,20 @@ class TestGradients:
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
 
+    def test_owned_first_gradient_is_kept_unless_it_needs_a_cast(self):
+        x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        x.accumulate_grad(g, owned=True)
+        assert x.grad is g
+        x.accumulate_grad(g.copy(), owned=True)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+        y = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        y.accumulate_grad(np.array([1.0, 2.0, 3.0]), owned=True)
+        assert y.grad.dtype == np.float32
+
     @pytest.mark.parametrize("other_path", [False, True])
     def test_narrow_slices_covering_axis_give_full_grad(self, rng, other_path):
-        # the attention q/k/v split: three slices of one axis; with
+        # three slices covering one axis, as the per-view split does; with
         # other_path, a gradient reaches the input before the slices' do
         x = t64(rng.normal(size=(3, 2, 4)))
         w = rng.normal(size=(3, 2, 4))
@@ -205,6 +216,101 @@ class TestGradients:
             tape.backward(y)
         assert x.grad is not None
         assert c.grad is None
+
+
+def _forward_backward(fn, inputs, upstream):
+    """Runs ``fn(inputs)`` on a tape seeded with ``upstream``; returns the
+    output values and every input's gradient."""
+    for t in inputs:
+        t.grad = None
+    with T.Tape() as tape:
+        out = fn(inputs)
+        out.grad = upstream
+        tape.backward(out)
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _attention_inputs(rng, dtype, d, heads, b=2, t=5):
+    shapes = [(b, t, d), (d, 3 * d), (3 * d,), (d, d), (d,)]
+    return [T.Tensor(rng.normal(0.0, 0.5, size=s).astype(dtype), requires_grad=True)
+            for s in shapes]
+
+
+class TestFusedOps:
+    """``linear``, ``attention`` and ``gelu`` are fused, in-place forms of
+    compositions of the generic primitives; they must give the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,heads", [(16, 1), (16, 2), (16, 4), (48, 4)])
+    def test_attention_block_matches_reference_bitwise(self, rng, dtype, d, heads):
+        # (48, 4): head width 12, so 1/sqrt(dh) is no power of two and its
+        # cast to the tensor dtype decides the bits
+        inputs = _attention_inputs(rng, dtype, d, heads)
+        upstream = rng.normal(size=(2, 5, d)).astype(dtype)
+
+        def fused(ts):
+            qkv = T.linear(ts[0], ts[1], ts[2])
+            return T.linear(T.attention(qkv, heads), ts[3], ts[4])
+
+        want = _forward_backward(lambda ts: reference_attention(*ts, heads),
+                                 inputs, upstream.copy())
+        got = _forward_backward(fused, inputs, upstream.copy())
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
+    def test_linear_matches_matmul_plus_bias_bitwise(self, rng, dtype, x_shape):
+        inputs = [T.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for s in (x_shape, (4, 5), (5,))]
+        upstream = rng.normal(size=x_shape[:-1] + (5,)).astype(dtype)
+        want = _forward_backward(lambda ts: T.matmul(ts[0], ts[1]) + ts[2],
+                                 inputs, upstream.copy())
+        got = _forward_backward(lambda ts: T.linear(*ts), inputs, upstream.copy())
+        for w, g in zip(want, got):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_matches_written_out_formula_bitwise(self, rng, dtype):
+        x = np.concatenate([np.linspace(-9.0, 9.0, 2001),
+                            rng.normal(0.0, 3.0, size=999)]).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        want = reference_gelu(x, upstream)
+        got = _forward_backward(lambda ts: T.gelu(ts[0]),
+                                [T.Tensor(x, requires_grad=True)], upstream.copy())
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("op", ["gelu", "linear2d", "linear3d", "attention"])
+    def test_inputs_and_upstream_grad_stay_untouched(self, rng, op):
+        # in-place work may touch only the buffers an op allocates itself
+        if op == "gelu":
+            shapes, fn = [(3, 7)], lambda ts: T.gelu(ts[0])
+        elif op == "attention":
+            shapes, fn = [(2, 5, 24)], lambda ts: T.attention(ts[0], 2)
+        else:
+            x_shape = (6, 4) if op == "linear2d" else (2, 3, 4)
+            shapes, fn = [x_shape, (4, 5), (5,)], lambda ts: T.linear(*ts)
+        inputs = [T.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        before = [t.data.copy() for t in inputs]
+        upstream = rng.normal(size=fn(inputs).shape).astype(np.float32)
+        kept = upstream.copy()
+        _, *grads = _forward_backward(fn, inputs, upstream)
+        assert upstream.tobytes() == kept.tobytes()
+        for t, b, g in zip(inputs, before, grads):
+            assert t.data.tobytes() == b.tobytes()
+            assert not np.shares_memory(g, upstream) and not np.shares_memory(g, t.data)
+
+    def test_attention_rejects_width_not_split_by_heads(self):
+        with pytest.raises(T.DimensionError):
+            T.attention(T.Tensor(np.zeros((1, 2, 12))), 3)
+
+    def test_linear_rejects_mismatched_bias(self):
+        with pytest.raises(T.DimensionError):
+            T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 5))),
+                     T.Tensor(np.zeros(4)))
 
 
 class TestTapeMechanics:

@@ -295,6 +295,24 @@ class TestTrainStep:
         for k, p in state.teacher_params().items():
             assert p.requires_grad is False and p.grad is None, k
 
+    def test_tape_records_per_step(self, monkeypatch):
+        # pins the fused ops, so a split back into generic primitives shows:
+        # at the tiny configs the encoder's stem and tail take 10 records,
+        # each block 10 (2 layernorms, 4 linear, attention, gelu, 2 residual
+        # adds), the head 8, the per-view split 4 and the loss 14
+        counts = []
+        backward = T.Tape.backward
+
+        def counting(tape, root):
+            counts.append(len(tape))
+            return backward(tape, root)
+
+        monkeypatch.setattr(T.Tape, "backward", counting)
+        cfg = tiny_train_cfg()
+        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
+        assert counts == [46]
+
     def test_each_tower_runs_once(self, monkeypatch):
         calls = {"encoder": 0, "head": 0}
         enc_forward, head = VitEncoder.forward, trainer_mod.head_forward
@@ -508,6 +526,12 @@ class TestTrainConfigValidation:
     def test_negative_iterations(self):
         with pytest.raises(ParameterError):
             TrainConfig(iterations=-1)
+
+    def test_iterations_up_to_exact_float32_counter(self):
+        # the saved iteration counter is float32, exact only up to 2**24
+        assert TrainConfig(iterations=2**24).iterations == 2**24
+        with pytest.raises(ParameterError, match="iterations"):
+            TrainConfig(iterations=2**24 + 1)
 
     def test_batch_of_one(self):
         with pytest.raises(ParameterError):
