@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ManifestRecord, load_images
 from .errors import DimensionError, InputError
-from .trainer import load_encoder
+from .trainer import keep_freed_memory, load_encoder
 
 MAGIC = b"EMB1"
 
@@ -104,17 +105,29 @@ def read_embeddings(path: str) -> EmbeddingSet:
 def embed(checkpoint_path: str, records: list[ManifestRecord],
           batch_size: int = 64) -> EmbeddingSet:
     """One teacher-encoder CLS row per manifest record, in manifest order.
-    Images are read one batch at a time, so memory follows the batch, not
-    the corpus."""
+    Images are read one batch at a time. The calling thread forwards the
+    first half of each batch while one worker thread forwards the second;
+    numpy releases the GIL inside BLAS and large ufuncs, so the halves run
+    on two cores. A batch of one stays on the calling thread. On one BLAS
+    build the rows are byte for byte those of a forward of the whole
+    batch, and memory follows one batch, not the corpus. An error in
+    either half reaches the caller once the worker has stopped."""
     encoder = load_encoder(checkpoint_path)
     d = encoder.cfg.embed_dim
     if not records:
         return EmbeddingSet(np.zeros((0, d), dtype=np.float32), [], [], [])
+    keep_freed_memory()
     rows = []
-    for start in range(0, len(records), batch_size):
-        chunk = load_images(records[start:start + batch_size])
-        batch = np.stack(chunk).astype(np.float32) / 255.0
-        rows.append(encoder.forward(batch).data.astype(np.float32))
+    with ThreadPoolExecutor(1) as worker:
+        for start in range(0, len(records), batch_size):
+            chunk = load_images(records[start:start + batch_size])
+            batch = np.stack(chunk).astype(np.float32) / 255.0
+            half = (len(batch) + 1) // 2
+            second = (worker.submit(encoder.forward, batch[half:])
+                      if half < len(batch) else None)
+            rows.append(encoder.forward(batch[:half]).data.astype(np.float32))
+            if second is not None:
+                rows.append(second.result().data.astype(np.float32))
     vectors = np.concatenate(rows, axis=0)
     return EmbeddingSet(
         vectors=vectors,

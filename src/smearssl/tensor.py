@@ -14,6 +14,7 @@ counts as the empty suffix). Anything else needs an explicit reshape.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,11 +124,11 @@ class Tape:
         self._records.append(backward_fn)
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
     def backward(self, root: Tensor) -> None:
@@ -137,11 +138,19 @@ class Tape:
             fn()
 
 
-_TAPE_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    """Open tapes per thread: an op records only onto its own thread's."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:

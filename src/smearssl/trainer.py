@@ -334,13 +334,17 @@ def keep_freed_memory() -> None:
     the kernel and faulting in again page by page. glibc's defaults move
     with the allocation history: without this, one small-head step (batch
     8, 2 vCPUs) took 80 ms with 12k page faults or 50 ms with none, by heap
-    layout alone. A no-op where libc has no mallopt."""
+    layout alone. It also caps glibc at one arena, so the temporaries of
+    a worker thread (`embeddings.embed`'s second half-batch) reuse the
+    main heap instead of growing an arena of their own; call it before
+    starting the thread. A no-op where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def train(images: list[np.ndarray], vit_cfg: VitConfig, ssl_cfg: SslConfig,

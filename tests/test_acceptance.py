@@ -12,6 +12,7 @@ nothing in this file adapts to the observed values.
 """
 
 import time
+import zlib
 
 import numpy as np
 
@@ -244,7 +245,6 @@ PRIMITIVE_CASES = {
     "log_softmax": _case_log_softmax,
     "layernorm": _case_layernorm,
     "l2_normalize": _case_l2_normalize,
-    # appended, so the seeds of the cases above stay as they were
     "linear": _case_linear,
     "attention": _case_attention,
 }
@@ -291,9 +291,11 @@ def _composite_case(seed: int) -> float:
 def test_criterion_01_gradient_suite():
     t0 = time.perf_counter()
     worst_primitive, worst_name = 0.0, ""
-    for prim_index, (name, build) in enumerate(PRIMITIVE_CASES.items()):
+    for name, build in PRIMITIVE_CASES.items():
+        # seeded by name, so adding or moving a primitive re-seeds no other
+        seed = zlib.crc32(name.encode())
         for case in range(CASES_PER_PRIMITIVE):
-            rng = np.random.Generator(np.random.PCG64([17, prim_index, case]))
+            rng = np.random.Generator(np.random.PCG64([17, seed, case]))
             tensors, fn = build(rng)
             err = grad_check(fn, tensors)
             if err > worst_primitive:

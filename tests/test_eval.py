@@ -3,6 +3,7 @@ the PCA feature map."""
 
 import csv
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from oracles import dense_pca, naive_knn, naive_metrics, reference_linear_probe
 from smearssl import probes
-from smearssl.data import load_manifest
+from smearssl import tensor as T
+from smearssl.data import load_images, load_manifest
 from smearssl.embeddings import (
     EmbeddingSet,
     embed,
@@ -21,6 +23,7 @@ from smearssl.embeddings import (
 from smearssl.errors import (
     DimensionError,
     InputError,
+    NumericError,
     ParameterError,
     ProtocolError,
 )
@@ -40,7 +43,8 @@ from smearssl.protocols import (
 )
 from smearssl.objective import SslConfig
 from smearssl.synthetic import SynthConfig, gen_synthetic, write_dataset
-from smearssl.trainer import TrainConfig, export_teacher, init_train_state
+from smearssl.trainer import (TrainConfig, export_teacher, init_train_state,
+                              load_encoder)
 from smearssl.vit import VitConfig, VitEncoder
 
 
@@ -597,6 +601,24 @@ def corpus(tmp_path_factory):
     return manifest, ckpt
 
 
+@pytest.fixture(scope="module")
+def records65(tmp_path_factory):
+    """65 distinct images: one default batch of 64, then a batch of one."""
+    root = tmp_path_factory.mktemp("corpus65")
+    samples = gen_synthetic(SynthConfig(n_images=65))
+    return load_manifest(write_dataset(str(root), samples, with_masks=False))
+
+
+def serial_embed(ckpt, records, batch_size=64):
+    """One forward of each whole batch on the calling thread."""
+    encoder = load_encoder(ckpt)
+    rows = []
+    for start in range(0, len(records), batch_size):
+        batch = np.stack(load_images(records[start:start + batch_size]))
+        rows.append(encoder.forward(batch.astype(np.float32) / 255.0).data)
+    return np.concatenate(rows, axis=0).astype(np.float32)
+
+
 class TestEmbed:
     def test_rows_follow_manifest(self, corpus):
         manifest, ckpt = corpus
@@ -620,6 +642,34 @@ class TestEmbed:
         split = embed(ckpt, records, batch_size=3)
         assert split.ids == whole.ids
         np.testing.assert_allclose(split.vectors, whole.vectors, atol=1e-5)
+
+    @pytest.mark.parametrize("n, batch_size", [(65, 64), (65, 1), (1, 64)])
+    def test_halves_match_whole_batch_bitwise(self, corpus, records65, n, batch_size):
+        _, ckpt = corpus
+        records = records65[:n]
+        emb = embed(ckpt, records, batch_size=batch_size)
+        assert emb.ids == [os.path.basename(r.path) for r in records]
+        np.testing.assert_array_equal(emb.vectors,
+                                      serial_embed(ckpt, records, batch_size))
+
+    @pytest.mark.parametrize("fail_on", ["worker", "caller"])
+    def test_error_in_a_half_reaches_caller_and_joins_worker(
+            self, corpus, monkeypatch, fail_on):
+        manifest, ckpt = corpus
+        records = load_manifest(manifest)
+        check_finite = T.Tensor.check_finite
+
+        def failing(tensor, context="tensor"):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (fail_on == "worker"):
+                raise NumericError(f"injected on the {fail_on}")
+            return check_finite(tensor, context)
+
+        monkeypatch.setattr(T.Tensor, "check_finite", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match=f"injected on the {fail_on}"):
+            embed(ckpt, records)
+        assert threading.active_count() == before
 
     def test_empty_manifest_zero_rows(self, corpus):
         _, ckpt = corpus

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, analytic gradients, tape behavior."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +328,26 @@ class TestTapeMechanics:
             x.grad = None
             outer.backward(T.tensor_sum(y))
         np.testing.assert_allclose(inner_grad, x.grad)
+
+    def test_tape_records_only_ops_of_its_own_thread(self):
+        x = t64([2.0])
+        out = {}
+
+        def on_other_thread():
+            out["other"] = T.active_tape()
+            out["y"] = T.mul(x, x)
+            with T.Tape() as own:
+                T.mul(x, x)
+            out["own"] = len(own)
+
+        with T.Tape() as tape:
+            worker = threading.Thread(target=on_other_thread)
+            worker.start()
+            worker.join()
+            assert T.active_tape() is tape
+        assert len(tape) == 0
+        assert out["other"] is None and out["y"].requires_grad is False
+        assert out["own"] == 1
 
     def test_backward_on_nonscalar_seeds_ones(self, rng):
         x = t64(rng.normal(size=(2, 2)))
