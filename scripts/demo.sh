@@ -2,7 +2,10 @@
 # End-to-end walkthrough on a small synthetic corpus: generate data, train a
 # reduced encoder for a handful of iterations, embed, evaluate, and render a
 # PCA feature map. Everything lands in ./demo_out (wiped on each run).
+# Runs from a checkout with PYTHONPATH=src, or after `pip install -e .`.
 set -euo pipefail
+
+smearssl() { python3 -m smearssl.cli "$@"; }
 
 OUT=${1:-demo_out}
 rm -rf "$OUT"

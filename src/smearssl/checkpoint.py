@@ -76,36 +76,39 @@ def read_checkpoint(path: str) -> tuple[VitConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         raw = fh.read()
     view = memoryview(raw)
-    if raw[:4] != MAGIC:
-        raise InputError(f"{path}: not a checkpoint file (bad magic {raw[:4]!r})")
-    off = 4
-    (version,) = struct.unpack_from("<H", view, off)
-    off += 2
-    if version != VERSION:
-        raise InputError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", view, off)
-    off += 4
-    cfg = _decode_config(bytes(view[off:off + cfg_len]))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", view, off)
-    off += 4
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", view, off)
+    try:
+        if raw[:4] != MAGIC:
+            raise InputError(f"{path}: not a checkpoint file (bad magic {raw[:4]!r})")
+        off = 4
+        (version,) = struct.unpack_from("<H", view, off)
         off += 2
-        name = bytes(view[off:off + nlen]).decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", view, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", view, off)
-        off += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        nbytes = 4 * size
-        if off + nbytes > len(raw):
-            raise InputError(f"{path}: truncated blob {name!r}")
-        arr = np.frombuffer(view[off:off + nbytes], dtype="<f4").reshape(shape).copy()
-        off += nbytes
-        params[name] = arr
-    if off != len(raw):
-        raise InputError(f"{path}: {len(raw) - off} trailing bytes after last blob")
-    return cfg, params
+        if version != VERSION:
+            raise InputError(f"{path}: unsupported checkpoint version {version}")
+        (cfg_len,) = struct.unpack_from("<I", view, off)
+        off += 4
+        cfg = _decode_config(bytes(view[off:off + cfg_len]))
+        off += cfg_len
+        (count,) = struct.unpack_from("<I", view, off)
+        off += 4
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", view, off)
+            off += 2
+            name = bytes(view[off:off + nlen]).decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<B", view, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", view, off)
+            off += 4 * ndim
+            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            nbytes = 4 * size
+            if off + nbytes > len(raw):
+                raise InputError(f"{path}: truncated blob {name!r}")
+            arr = np.frombuffer(view[off:off + nbytes], dtype="<f4").reshape(shape).copy()
+            off += nbytes
+            params[name] = arr
+        if off != len(raw):
+            raise InputError(f"{path}: {len(raw) - off} trailing bytes after last blob")
+        return cfg, params
+    except (struct.error, ValueError) as exc:  # short field or bad config text
+        raise InputError(f"{path}: corrupt checkpoint: {exc}") from None

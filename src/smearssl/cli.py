@@ -196,12 +196,11 @@ def cmd_eval_kfold(args) -> int:
 
 
 def cmd_pca_map(args) -> int:
-    cfg = _build_config(args, {"components": "pca.components", "seed": "run.seed"})
+    cfg = _build_config(args, {"components": "pca.components"})
     encoder = load_encoder(args.checkpoint)
     image = read_ppm(args.image)
     rgb, _, variances = pca_map(encoder, image,
-                                n_components=cfg.get("pca.components"),
-                                seed=cfg.get("run.seed"))
+                                n_components=cfg.get("pca.components"))
     write_ppm(args.out, rgb)
     write_resolved(cfg, args.out + ".config")
     log.info("explained variances: %s", np.array2string(variances, precision=4))
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output PPM feature map")
     p.add_argument("--components", type=int, help="component count")
-    p.add_argument("--seed", type=int, help="run seed")
 
     return parser
 

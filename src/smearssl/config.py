@@ -60,13 +60,6 @@ DEFAULTS: dict[str, object] = {
 def _parse_value(key: str, raw: str) -> object:
     default = DEFAULTS[key]
     raw = raw.strip()
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise InputError(f"{key}: expected a boolean, got {raw!r}")
     try:
         if isinstance(default, int):
             return int(raw)
@@ -79,8 +72,6 @@ def _parse_value(key: str, raw: str) -> object:
 
 
 def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -145,7 +145,7 @@ def save_manifest(path: str, records: list[ManifestRecord]) -> None:
             writer.writerow([r.path, r.kind, r.source_id, r.label or ""])
 
 
-def load_manifest(path: str, check_paths: bool = True) -> list[ManifestRecord]:
+def load_manifest(path: str) -> list[ManifestRecord]:
     if not os.path.exists(path):
         raise InputError(f"manifest not found: {path}")
     records: list[ManifestRecord] = []
@@ -161,7 +161,7 @@ def load_manifest(path: str, check_paths: bool = True) -> list[ManifestRecord]:
             p = row["path"]
             if not os.path.isabs(p):
                 p = os.path.join(base, p)
-            if check_paths and not os.path.exists(p):
+            if not os.path.exists(p):
                 raise InputError(f"{path}: row {i + 1}: file not found: {row['path']}")
             if row["kind"] not in ("patch", "cell"):
                 raise InputError(f"{path}: row {i + 1}: bad kind {row['kind']!r}")

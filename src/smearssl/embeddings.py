@@ -82,6 +82,8 @@ def read_embeddings(path: str) -> EmbeddingSet:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise InputError(f"{path}: not an embedding file (magic {raw[:4]!r})")
+    if len(raw) < 12:
+        raise InputError(f"{path}: truncated header ({len(raw)} bytes)")
     n, d = struct.unpack_from("<II", raw, 4)
     need = 12 + 4 * n * d
     if len(raw) != need:
@@ -93,6 +95,9 @@ def read_embeddings(path: str) -> EmbeddingSet:
     ids, sources, labels = [], [], []
     with open(side, newline="") as fh:
         reader = csv.DictReader(fh)
+        if set(reader.fieldnames or ()) != {"row", "id", "source_id", "label"}:
+            raise InputError(f"{side}: sidecar header must be row,id,source_id,"
+                             f"label, got {reader.fieldnames}")
         for row in reader:
             ids.append(row["id"])
             sources.append(row["source_id"])

@@ -35,6 +35,11 @@ def _read_header_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i + 1  # single whitespace byte after maxval
 
 
+def _check_size(path: str, w: int, h: int) -> None:
+    if w < 1 or h < 1:
+        raise InputError(f"{path}: bad image size {w}x{h}")
+
+
 def write_ppm(path: str, image: np.ndarray) -> None:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
@@ -53,6 +58,7 @@ def read_ppm(path: str) -> np.ndarray:
     if raw[:2] != b"P6":
         raise InputError(f"{path}: not a binary PPM (magic {raw[:2]!r})")
     (w, h, maxval), off = _read_header_tokens(raw, 3)
+    _check_size(path, w, h)
     if maxval != 255:
         raise InputError(f"{path}: only 8-bit PPM supported (maxval {maxval})")
     need = w * h * 3
@@ -82,6 +88,7 @@ def read_pgm(path: str) -> np.ndarray:
     if raw[:2] != b"P5":
         raise InputError(f"{path}: not a binary PGM (magic {raw[:2]!r})")
     (w, h, maxval), off = _read_header_tokens(raw, 3)
+    _check_size(path, w, h)
     if not 0 < maxval < 65536:
         raise InputError(f"{path}: bad maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)

@@ -33,9 +33,7 @@ class SslConfig:
     centering: str = "sinkhorn"
     center_momentum: float = 0.9
     sinkhorn_iters: int = 3
-    koleo_enabled: bool = False
-    koleo_weight: float = 0.1
-    koleo_eps: float = 1e-8
+    koleo_weight: float = 0.0  # the spread regularizer runs when > 0
 
     def __post_init__(self):
         if self.student_temp <= 0 or self.teacher_temp <= 0:
@@ -49,6 +47,8 @@ class SslConfig:
             raise ParameterError("need at least 2 prototypes")
         if not 0.0 <= self.center_momentum < 1.0:
             raise ParameterError("center_momentum must lie in [0, 1)")
+        if self.koleo_weight < 0:
+            raise ParameterError("koleo_weight must be >= 0")
 
 
 def init_head_params(cfg: SslConfig, embed_dim: int, rng: np.random.Generator,
@@ -88,17 +88,16 @@ def renormalize_prototypes(params: dict[str, T.Tensor]) -> None:
 
 @dataclass
 class CenteringState:
-    """Moving-average center for the ``ema`` mode."""
+    """Moving-average center for the ``ema`` mode; float32, as stored."""
     center: np.ndarray
-    momentum: float = 0.9
 
     @classmethod
-    def fresh(cls, num_prototypes: int, momentum: float = 0.9) -> "CenteringState":
-        return cls(np.zeros(num_prototypes, dtype=np.float64), momentum)
+    def fresh(cls, num_prototypes: int) -> "CenteringState":
+        return cls(np.zeros(num_prototypes, dtype=np.float32))
 
-    def update(self, teacher_logits: np.ndarray) -> None:
+    def update(self, teacher_logits: np.ndarray, momentum: float) -> None:
         batch_mean = teacher_logits.astype(np.float64).mean(axis=0)
-        self.center = self.momentum * self.center + (1.0 - self.momentum) * batch_mean
+        self.center[...] = momentum * self.center + (1.0 - momentum) * batch_mean
 
 
 def softmax_np(x: np.ndarray, temp: float = 1.0, axis: int = -1) -> np.ndarray:
@@ -144,7 +143,7 @@ def teacher_targets_multiview(logits_list: list[np.ndarray], cfg: SslConfig,
         if state is None:
             raise ParameterError("ema centering requires a CenteringState")
         out = [ema_targets(lg, state.center, cfg.teacher_temp) for lg in logits_list]
-        state.update(np.concatenate(logits_list, axis=0))
+        state.update(np.concatenate(logits_list, axis=0), cfg.center_momentum)
         return out
     return [softmax_np(lg, cfg.teacher_temp) for lg in logits_list]
 
@@ -191,12 +190,12 @@ def koleo_loss(z: T.Tensor, eps: float = 1e-8) -> T.Tensor:
 def total_loss(student_logits: list[T.Tensor], targets: list[np.ndarray],
                cfg: SslConfig, student_z: list[T.Tensor] | None = None) -> T.Tensor:
     loss = dino_loss(student_logits, targets, cfg.student_temp)
-    if cfg.koleo_enabled:
+    if cfg.koleo_weight > 0:
         if not student_z:
-            raise ParameterError("koleo enabled but no student bottlenecks given")
-        reg = koleo_loss(student_z[0], cfg.koleo_eps)
+            raise ParameterError("koleo_weight > 0 but no student bottlenecks given")
+        reg = koleo_loss(student_z[0])
         for z in student_z[1:]:
-            reg = reg + koleo_loss(z, cfg.koleo_eps)
+            reg = reg + koleo_loss(z)
         loss = loss + (cfg.koleo_weight / len(student_z)) * reg
     return loss
 

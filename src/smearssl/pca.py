@@ -1,5 +1,5 @@
-"""Top-k PCA by power iteration with deflation, and the patch-token feature
-map renderer."""
+"""Top-k PCA of the sample covariance, and the patch-token feature map
+renderer."""
 
 from __future__ import annotations
 
@@ -8,18 +8,15 @@ import numpy as np
 from .errors import ProtocolError
 from .vit import VitEncoder
 
-POWER_TOL = 1e-9
-POWER_MAX_ITERS = 10000
 
-
-def top_components(x: np.ndarray, n_components: int = 3, tol: float = POWER_TOL,
-                   seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def top_components(x: np.ndarray, n_components: int = 3,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of `x` are observations. Returns (components [k,d] with
     orthonormal rows, explained variances descending, column mean [d]).
 
-    Power iteration on the explicit sample covariance, deflating each found
-    eigenpair. Component signs are fixed so the entry of largest magnitude is
-    positive.
+    One symmetric eigendecomposition of the explicit sample covariance.
+    Component signs are fixed so the entry of largest magnitude is positive;
+    variances below zero (rounding on rank-deficient data) read as 0.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -29,40 +26,15 @@ def top_components(x: np.ndarray, n_components: int = 3, tol: float = POWER_TOL,
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / (n - 1)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 13])))
-    comps = np.zeros((n_components, d))
-    variances = np.zeros(n_components)
-    for c in range(n_components):
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        for _ in range(POWER_MAX_ITERS):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:  # rank-deficient remainder: any unit vector works
-                break
-            w /= norm
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
-                v = w
-                break
-            v = w
-        # re-orthogonalize against previous components (guards slow deflation drift)
-        for j in range(c):
-            v -= (v @ comps[j]) * comps[j]
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            v /= nv
-        lam = float(v @ cov @ v)
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0:
-            v = -v
-        comps[c] = v
-        variances[c] = max(lam, 0.0)
-        cov = cov - lam * np.outer(v, v)
-    return comps, variances, mean
+    lam, vecs = np.linalg.eigh(cov)  # ascending
+    top = slice(None, -n_components - 1, -1)
+    comps = vecs[:, top].T
+    peak = np.argmax(np.abs(comps), axis=1)
+    comps = comps * np.sign(comps[np.arange(n_components), peak])[:, None]
+    return comps, np.maximum(lam[top], 0.0), mean
 
 
-def pca_map(encoder: VitEncoder, image: np.ndarray,
-            n_components: int = 3, seed: int = 0,
+def pca_map(encoder: VitEncoder, image: np.ndarray, n_components: int = 3,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projects the encoder's patch tokens for one image onto their top
     principal components and renders them as an RGB map at input resolution.
@@ -78,7 +50,7 @@ def pca_map(encoder: VitEncoder, image: np.ndarray,
     if tokens.shape[0] < n_components:
         raise ProtocolError(f"{tokens.shape[0]} patch tokens cannot support "
                             f"{n_components} components")
-    comps, variances, mean = top_components(tokens, n_components, seed=seed)
+    comps, variances, mean = top_components(tokens, n_components)
     proj = (tokens - mean) @ comps.T  # [N, k]
 
     g = cfg.grid

@@ -152,8 +152,7 @@ def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
         teacher_enc=VitEncoder(vit_cfg, params=teacher_params),
         teacher_head=teacher_head,
         moments_m={}, moments_v={},
-        centering=CenteringState.fresh(ssl_cfg.num_prototypes,
-                                       ssl_cfg.center_momentum),
+        centering=CenteringState.fresh(ssl_cfg.num_prototypes),
     )
     for name, p in state.student_params().items():
         state.moments_m[name] = np.zeros_like(p.data)
@@ -271,7 +270,8 @@ _STATE_META = "meta.counters"
 
 
 def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
-    """`state.rdck`'s blobs in write order; params and moments are not copies."""
+    """`state.rdck`'s blobs in write order; params, moments and the center
+    are not copies, so `load_train_state` fills them in place."""
     blobs: dict[str, np.ndarray] = {}
     for name, p in state.student_params().items():
         blobs[f"student.{name}"] = p.data
@@ -281,7 +281,7 @@ def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
         blobs[f"adam.m.{name}"] = m
     for name, v in state.moments_v.items():
         blobs[f"adam.v.{name}"] = v
-    blobs["center"] = state.centering.center.astype(np.float32)
+    blobs["center"] = state.centering.center
     blobs[_STATE_META] = np.array([state.iteration], dtype=np.float32)
     return blobs
 
@@ -304,7 +304,6 @@ def load_train_state(path: str, ssl_cfg: SslConfig,
             raise InputError(f"{path}: blob {name!r} has shape {blobs[name].shape}, "
                              f"this config expects {want.shape}")
         want[...] = blobs[name]
-    state.centering.center = blobs["center"].astype(np.float64)
     state.iteration = int(blobs[_STATE_META][0])
     return state
 

@@ -256,7 +256,7 @@ def _composite_case(seed: int) -> float:
     """Worst relative error of the full head + total loss at one random point."""
     rng = np.random.Generator(np.random.PCG64(seed))
     cfg = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=6,
-                    koleo_enabled=True, koleo_weight=0.1)
+                    koleo_weight=0.1)
     params = {k: T.Tensor(v.data.astype(np.float64), requires_grad=True)
               for k, v in init_head_params(cfg, 8, rng).items()}
     emb = [rng.normal(size=(3, 8)), rng.normal(size=(3, 8))]
@@ -398,7 +398,7 @@ def test_criterion_04_koleo_behavior():
 
     cfg_off = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=6)
     cfg_on = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=6,
-                       koleo_enabled=True, koleo_weight=0.1)
+                       koleo_weight=0.1)
     params = init_head_params(cfg_on, 8, rng)
     emb = [rng.normal(size=(4, 8)).astype(np.float32) for _ in range(2)]
     grads = {}
@@ -623,7 +623,7 @@ def test_criterion_10_pca_map():
         img = s.image.pixels.astype(np.float32) / 255.0
         _, patch_tokens = encoder.forward_tokens(img[None])
         tokens = patch_tokens.data[0].astype(np.float64)
-        comps, variances, mean = top_components(tokens, 3, seed=0)
+        comps, variances, mean = top_components(tokens, 3)
         gram = comps @ comps.T
         ortho_worst = max(ortho_worst,
                           float(np.abs(gram - np.eye(3)).max()))
@@ -637,7 +637,7 @@ def test_criterion_10_pca_map():
                  and s.overlay_mask.sum() > 0]
     hits = 0
     for s in parasites[:4]:
-        rgb, _, _ = pca_map(encoder, s.image.pixels, n_components=3, seed=0)
+        rgb, _, _ = pca_map(encoder, s.image.pixels, n_components=3)
         c1 = rgb[..., 0].astype(np.float64)
         inside = s.overlay_mask
         if c1[inside].var() > c1[~inside].var():

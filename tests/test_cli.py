@@ -4,6 +4,8 @@ thin-adapter guarantee (command output == module-op output)."""
 import io
 import logging
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -11,6 +13,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from smearssl.checkpoint import _encode_config
 from smearssl.cli import main
 from smearssl.config import (RunConfig, apply_overrides, load_config,
                              parse_config_text)
@@ -22,6 +25,7 @@ from smearssl.probes import knn
 from smearssl.protocols import (EvalReport, SplitRecord, kfold,
                                 leave_one_source_out, write_report_csv)
 from smearssl.trainer import init_train_state, load_encoder
+from smearssl.vit import VitConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -43,7 +47,7 @@ REQUIRED_FLAGS = {
     "eval-loso": ["--emb", "--classifier", "--k", "--report"],
     "eval-kfold": ["--emb", "--classifier", "--k", "--folds", "--seed",
                    "--report"],
-    "pca-map": ["--checkpoint", "--image", "--out", "--components", "--seed"],
+    "pca-map": ["--checkpoint", "--image", "--out", "--components"],
 }
 
 TINY_SETS = [
@@ -197,6 +201,33 @@ class TestExitCodes:
         assert rc == 2
         assert "runtime error:" in err
 
+    def test_corrupt_inputs_are_validation_errors(self, emb_files, tmp_path,
+                                                  capsys):
+        cfg = _encode_config(VitConfig())
+
+        def rdck(text):
+            return (b"RDCK" + struct.pack("<HI", 1, len(text)) + text
+                    + struct.pack("<I", 0))
+
+        checkpoints = {"short.rdck": b"RDCK\x01",
+                       "nonint.rdck": rdck(cfg.replace(b"image_size=64",
+                                                       b"image_size=abc")),
+                       "nonutf8.rdck": rdck(cfg + b"\xff\n")}
+        short_emb = tmp_path / "short.emb1"
+        short_emb.write_bytes(b"EMB1\x01\x00")
+        bad_side = tmp_path / "side.emb1"
+        shutil.copy(emb_files[0], bad_side)
+        (tmp_path / "side.emb1.csv").write_text("row,name,source_id,label\n")
+        runs = [["eval-knn", "--train-emb", str(p), "--test-emb", emb_files[1]]
+                for p in (short_emb, bad_side)]
+        for name, raw in checkpoints.items():
+            (tmp_path / name).write_bytes(raw)
+            runs.append(["pca-map", "--checkpoint", str(tmp_path / name),
+                         "--image", "unread.ppm", "--out", "unwritten.ppm"])
+        for argv in runs:  # an exception escaping main() fails the test
+            rc, _, err = run_cli(argv, capsys)
+            assert rc == 1 and err.startswith("error: "), (argv, err)
+
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):
         tr, _ = emb_files
@@ -230,8 +261,8 @@ class TestConfigPlumbing:
         assert back.values == cfg.values
 
     def test_resolved_defaults_match_golden(self):
-        # Pins all 60 keys and, through their formatting, their types:
-        # floats print with a point, booleans as true/false.
+        # Pins all 58 keys and, through their formatting, their types:
+        # floats print with a point.
         with open(os.path.join(GOLDEN_DIR, "config.resolved")) as fh:
             assert RunConfig().resolved_text() == fh.read()
 
@@ -241,15 +272,6 @@ class TestConfigPlumbing:
         assert lines[0].startswith("#")
         assert "" in lines  # at least one section separator
         assert "run.seed = 0" in lines
-
-    def test_set_parses_booleans(self):
-        cfg = RunConfig()
-        cfg.set("ssl.koleo_enabled", "TRUE")
-        assert cfg.get("ssl.koleo_enabled") is True
-        cfg.set("ssl.koleo_enabled", "no")
-        assert cfg.get("ssl.koleo_enabled") is False
-        with pytest.raises(InputError):
-            cfg.set("ssl.koleo_enabled", "maybe")
 
     def test_get_unknown_key(self):
         with pytest.raises(InputError):
@@ -558,3 +580,24 @@ def test_console_script_runs(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: smearssl")
+
+
+def test_demo_script_runs(tmp_path):
+    # the demo calls `python3 -m smearssl.cli`; point python3 at this
+    # interpreter and the package at this checkout
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    os.symlink(sys.executable, bin_dir / "python3")
+    env = dict(os.environ)
+    env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "demo"
+    proc = subprocess.run(["bash", os.path.join(repo, "scripts", "demo.sh"),
+                           str(out)], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for name in ("data/manifest.csv", "run/checkpoint.rdck", "cells.emb1",
+                 "kfold.csv", "loso.csv", "pca_map.ppm"):
+        assert (out / name).is_file(), name

@@ -1,6 +1,8 @@
 """Training loop: schedules, EMA, determinism, persistence, resume."""
 
+import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import smearssl.tensor as T
 import smearssl.trainer as trainer_mod
 from smearssl.augment import CropSpec
-from smearssl.checkpoint import _decode_config, _encode_config
+from smearssl.checkpoint import _decode_config, _encode_config, read_checkpoint
 from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
 from smearssl.objective import (SslConfig, head_forward,
                                 teacher_targets_multiview, total_loss)
@@ -278,7 +280,7 @@ class TestTrainStep:
         imgs = noise_images()
         cfg = tiny_train_cfg()
         ssl = SslConfig(head_hidden=16, bottleneck=8, num_prototypes=8,
-                        koleo_enabled=True)
+                        koleo_weight=0.1)
         state = init_train_state(TINY_VIT, ssl, cfg)
         views = sample_batch(imgs, TINY_CROP, cfg, 0)
         # one forward per view and tower, as two separate batches
@@ -413,25 +415,29 @@ class TestTrainEndToEnd:
             pair.append((ck, lg))
         assert pair[0] == pair[1]
 
-    def test_resume_matches_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("centering", ["sinkhorn", "ema", "none"])
+    def test_resume_matches_straight_run(self, tmp_path, centering):
         imgs = noise_images()
         cfg = tiny_train_cfg(iterations=6)
+        ssl = dataclasses.replace(TINY_SSL, centering=centering)
 
         straight_dir = str(tmp_path / "straight")
-        straight = train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, straight_dir)
+        straight = train(imgs, TINY_VIT, ssl, cfg, TINY_CROP, straight_dir)
 
         # interrupt an identical run after 3 steps, save, then resume
         resumed_dir = str(tmp_path / "resumed")
         os.makedirs(resumed_dir)
-        partial = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        partial = init_train_state(TINY_VIT, ssl, cfg)
         for it in range(3):
             train_step(partial, sample_batch(imgs, TINY_CROP, cfg, it))
         save_train_state(os.path.join(resumed_dir, "state.rdck"), partial)
-        resumed = train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, resumed_dir,
+        resumed = train(imgs, TINY_VIT, ssl, cfg, TINY_CROP, resumed_dir,
                         resume=True)
 
         for k, p in straight.teacher_params().items():
             np.testing.assert_array_equal(p.data, resumed.teacher_params()[k].data)
+        np.testing.assert_array_equal(straight.centering.center,
+                                      resumed.centering.center)
         assert straight.loss_history[3:] == resumed.loss_history
 
     def test_resume_without_state_rejected(self, tmp_path):
@@ -520,6 +526,31 @@ class TestCheckpointHeader:
         raw = _encode_config(self.OTHER).replace(b"depth=3\n", b"")
         with pytest.raises(InputError, match="depth"):
             _decode_config(raw)
+
+
+def _rdck(cfg_bytes: bytes) -> bytes:
+    """An RDCK file with this config text and no blobs."""
+    return (b"RDCK" + struct.pack("<HI", 1, len(cfg_bytes)) + cfg_bytes
+            + struct.pack("<I", 0))
+
+
+class TestCorruptCheckpoint:
+    def _read(self, tmp_path, raw):
+        path = tmp_path / "bad.rdck"
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match="bad.rdck"):
+            read_checkpoint(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        self._read(tmp_path, b"RDCK\x01")
+
+    def test_non_integer_config_value(self, tmp_path):
+        cfg = _encode_config(VitConfig()).replace(b"image_size=64",
+                                                  b"image_size=abc")
+        self._read(tmp_path, _rdck(cfg))
+
+    def test_non_utf8_config(self, tmp_path):
+        self._read(tmp_path, _rdck(_encode_config(VitConfig()) + b"\xff\n"))
 
 
 class TestTrainConfigValidation:
