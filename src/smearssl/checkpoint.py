@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ValidationError
 from .vit import VitConfig
 
 MAGIC = b"RDCK"
@@ -86,7 +86,10 @@ def read_checkpoint(path: str) -> tuple[VitConfig, dict[str, np.ndarray]]:
             raise InputError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack_from("<I", view, off)
         off += 4
-        cfg = _decode_config(bytes(view[off:off + cfg_len]))
+        try:
+            cfg = _decode_config(bytes(view[off:off + cfg_len]))
+        except ValidationError as exc:  # missing field or out-of-range value
+            raise InputError(f"{path}: {exc}") from None
         off += cfg_len
         (count,) = struct.unpack_from("<I", view, off)
         off += 4

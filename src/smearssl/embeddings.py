@@ -8,6 +8,7 @@ row-major float32 matrix. Row metadata travels in a sidecar CSV
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -92,16 +93,25 @@ def read_embeddings(path: str) -> EmbeddingSet:
     side = sidecar_path(path)
     if not os.path.exists(side):
         raise InputError(f"missing embedding sidecar: {side}")
+    with open(side, "rb") as fh:
+        raw_side = fh.read()
+    try:
+        text = raw_side.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw_side.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{side}: line {line} is not UTF-8") from None
     ids, sources, labels = [], [], []
-    with open(side, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if set(reader.fieldnames or ()) != {"row", "id", "source_id", "label"}:
-            raise InputError(f"{side}: sidecar header must be row,id,source_id,"
-                             f"label, got {reader.fieldnames}")
-        for row in reader:
-            ids.append(row["id"])
-            sources.append(row["source_id"])
-            labels.append(row["label"] or None)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if set(reader.fieldnames or ()) != {"row", "id", "source_id", "label"}:
+        raise InputError(f"{side}: sidecar header must be row,id,source_id,"
+                         f"label, got {reader.fieldnames}")
+    for row in reader:
+        if None in row or None in row.values():  # too many or too few fields
+            raise InputError(f"{side}: line {reader.line_num} does not have the "
+                             "4 fields row,id,source_id,label")
+        ids.append(row["id"])
+        sources.append(row["source_id"])
+        labels.append(row["label"] or None)
     if len(ids) != n:
         raise InputError(f"{side}: {len(ids)} metadata rows for {n} vectors")
     return EmbeddingSet(vectors=vectors, ids=ids, sources=sources, labels=labels)

@@ -69,6 +69,10 @@ class SynthConfig:
             raise ParameterError("need 1 <= cells_min <= cells_max")
         if not 0.0 < self.cell_radius_lo <= self.cell_radius_hi < 0.5:
             raise ParameterError("cell radii must satisfy 0 < lo <= hi < 0.5")
+        last_sigma = self.noise_base + self.noise_step * (self.sources - 1)
+        if not (self.noise_base >= 0 and last_sigma >= 0):  # also refuses NaN
+            raise ParameterError("noise sigma noise_base + noise_step * source "
+                                 "must be >= 0 for every source")
 
 
 @dataclass
@@ -96,7 +100,13 @@ def _render_cell(img: np.ndarray, mask: np.ndarray, overlay: np.ndarray,
     theta = rng.uniform(0.0, np.pi)
     a = r
     b = r * np.sqrt(1.0 - ecc**2)
-    ys, xs = np.mgrid[0:size, 0:size]
+    # A pixel changes only where rho <= rho_lim <= 1.16 (the echinocyte rim),
+    # and b <= a puts all of those within 1.16 * a of the centre.
+    reach = 1.16 * a + 1
+    y0, y1 = max(int(cy - reach), 0), min(int(cy + reach) + 1, size)
+    x0, x1 = max(int(cx - reach), 0), min(int(cx + reach) + 1, size)
+    win = np.s_[y0:y1, x0:x1]
+    ys, xs = np.arange(y0, y1)[:, None], np.arange(x0, x1)
     dx, dy = xs - cx, ys - cy
     xr = np.cos(theta) * dx + np.sin(theta) * dy
     yr = -np.sin(theta) * dx + np.cos(theta) * dy
@@ -111,7 +121,7 @@ def _render_cell(img: np.ndarray, mask: np.ndarray, overlay: np.ndarray,
     if CLASS_NAMES[cls] == "spherocyte":
         color = color - 0.10
     color = np.clip(color, 0.02, 0.95)
-    cell = np.where(inside[..., None], color[None, None, :], img)
+    cell = np.where(inside[..., None], color[None, None, :], img[win])
 
     name = CLASS_NAMES[cls]
     if name in ("disc", "parasite", "target", "ovalocyte", "echinocyte"):
@@ -125,8 +135,8 @@ def _render_cell(img: np.ndarray, mask: np.ndarray, overlay: np.ndarray,
         dot = rho < 0.28
         cell = np.where(dot[..., None], color[None, None, :] * 0.7, cell)
 
-    img[:] = cell
-    mask[inside] = label
+    img[win] = cell
+    mask[win][inside] = label
 
     if name == "parasite" and rng.random() < 0.9:
         off = 0.35 * r
@@ -134,8 +144,8 @@ def _render_cell(img: np.ndarray, mask: np.ndarray, overlay: np.ndarray,
         rcx, rcy = cx + off * np.cos(ang), cy + off * np.sin(ang)
         rr = np.sqrt((xs - rcx) ** 2 + (ys - rcy) ** 2)
         ring = (rr >= 0.16 * r) & (rr <= 0.30 * r) & inside
-        img[ring] = _RING_COLOR
-        overlay |= ring
+        img[win][ring] = _RING_COLOR
+        overlay[win] |= ring
 
 
 def _render_image(cfg: SynthConfig, index: int, source: int, cls: int) -> SynthSample:
@@ -169,7 +179,7 @@ def _render_image(cfg: SynthConfig, index: int, source: int, cls: int) -> SynthS
 
     amp = cfg.illum * (0.6 + 0.4 * (source + 1) / cfg.sources)
     ang = rng.uniform(0, 2 * np.pi)
-    ys, xs = np.mgrid[0:s, 0:s]
+    ys, xs = np.arange(s)[:, None], np.arange(s)
     proj = (np.cos(ang) * xs + np.sin(ang) * ys) / s
     ramp = 1.0 + amp * (proj - proj.mean()) * 2.0
     img = img * ramp[..., None]

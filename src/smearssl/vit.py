@@ -26,6 +26,9 @@ class VitConfig:
     in_channels: int = 3
 
     def __post_init__(self):
+        for field in ("image_size", "patch_size", "embed_dim", "depth", "heads", "in_channels"):
+            if getattr(self, field) < 1:
+                raise ParameterError(f"{field} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -34,9 +37,6 @@ class VitConfig:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        for field in ("image_size", "patch_size", "embed_dim", "depth", "heads", "in_channels"):
-            if getattr(self, field) < 1:
-                raise ParameterError(f"{field} must be >= 1")
 
     @property
     def grid(self) -> int:

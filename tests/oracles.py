@@ -12,6 +12,8 @@ from collections import deque
 import numpy as np
 
 import smearssl.tensor as T
+from smearssl.synthetic import (_BG_BASE, _CELL_BASE, _ECC_BANDS, _PIGMENT,
+                                _RING_COLOR, CLASS_NAMES)
 from smearssl.vit import VitConfig, VitEncoder
 
 
@@ -249,6 +251,59 @@ def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
     ctx = T.matmul(attn, v)  # [B,h,T,dh]
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
     return T.matmul(ctx, proj_w) + proj_b
+
+
+def reference_render_cell(img: np.ndarray, mask: np.ndarray, overlay: np.ndarray,
+                          label: int, cls: int, cx: float, cy: float, r: float,
+                          rng: np.random.Generator) -> None:
+    """One synthetic cell computed over the whole frame: the drop-in for
+    ``synthetic._render_cell`` that its windowed form must match byte for
+    byte, with the same RNG draws in the same order."""
+    size = img.shape[0]
+    lo, hi = _ECC_BANDS[cls]
+    ecc = rng.uniform(lo, hi)
+    theta = rng.uniform(0.0, np.pi)
+    a = r
+    b = r * np.sqrt(1.0 - ecc**2)
+    ys, xs = np.mgrid[0:size, 0:size]
+    dx, dy = xs - cx, ys - cy
+    xr = np.cos(theta) * dx + np.sin(theta) * dy
+    yr = -np.sin(theta) * dx + np.cos(theta) * dy
+    rho = np.sqrt((xr / a) ** 2 + (yr / b) ** 2)
+    rho_lim = np.ones_like(rho)
+    if CLASS_NAMES[cls] == "echinocyte":
+        phi = np.arctan2(yr / b, xr / a)
+        rho_lim = 1.0 + 0.16 * np.cos(9 * phi + rng.uniform(0, 2 * np.pi))
+    inside = rho <= rho_lim
+
+    color = (_CELL_BASE + rng.uniform(-0.04, 0.04, size=3)) * _PIGMENT[cls]
+    if CLASS_NAMES[cls] == "spherocyte":
+        color = color - 0.10
+    color = np.clip(color, 0.02, 0.95)
+    cell = np.where(inside[..., None], color[None, None, :], img)
+
+    name = CLASS_NAMES[cls]
+    if name in ("disc", "parasite", "target", "ovalocyte", "echinocyte"):
+        pallor = 0.35 * np.exp(-((rho / 0.45) ** 2))
+        cell = cell + (inside * pallor)[..., None] * (_BG_BASE - color)[None, None, :]
+    elif name == "stomatocyte":
+        slit = inside & (np.abs(yr) < 0.22 * b) & (np.abs(xr) < 0.6 * a)
+        cell = cell + slit[..., None] * 0.4 * (_BG_BASE - color)[None, None, :]
+    if name == "target":
+        dot = rho < 0.28
+        cell = np.where(dot[..., None], color[None, None, :] * 0.7, cell)
+
+    img[:] = cell
+    mask[inside] = label
+
+    if name == "parasite" and rng.random() < 0.9:
+        off = 0.35 * r
+        ang = rng.uniform(0, 2 * np.pi)
+        rcx, rcy = cx + off * np.cos(ang), cy + off * np.sin(ang)
+        rr = np.sqrt((xs - rcx) ** 2 + (ys - rcy) ** 2)
+        ring = (rr >= 0.16 * r) & (rr <= 0.30 * r) & inside
+        img[ring] = _RING_COLOR
+        overlay |= ring
 
 
 def vit_param_count(cfg: VitConfig) -> int:

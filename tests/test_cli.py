@@ -212,14 +212,24 @@ class TestExitCodes:
         checkpoints = {"short.rdck": b"RDCK\x01",
                        "nonint.rdck": rdck(cfg.replace(b"image_size=64",
                                                        b"image_size=abc")),
-                       "nonutf8.rdck": rdck(cfg + b"\xff\n")}
+                       "nonutf8.rdck": rdck(cfg + b"\xff\n"),
+                       "nodepth.rdck": rdck(cfg.replace(b"depth=2\n", b"")),
+                       "zero.rdck": rdck(cfg.replace(b"image_size=64",
+                                                     b"image_size=0"))}
         short_emb = tmp_path / "short.emb1"
         short_emb.write_bytes(b"EMB1\x01\x00")
-        bad_side = tmp_path / "side.emb1"
-        shutil.copy(emb_files[0], bad_side)
-        (tmp_path / "side.emb1.csv").write_text("row,name,source_id,label\n")
+        with open(emb_files[0] + ".csv", "rb") as fh:
+            rows = fh.read().split(b"\n")
+        sidecars = {"side": b"row,name,source_id,label\n",
+                    "nonutf8": b"\n".join(rows[:2] + [b"\xff" + rows[2]] + rows[3:]),
+                    "short": b"\n".join(rows[:2] + [b"0"] + rows[3:])}
+        bad_sides = []
+        for name, body in sidecars.items():
+            bad_sides.append(tmp_path / f"{name}.emb1")
+            shutil.copy(emb_files[0], bad_sides[-1])
+            (tmp_path / f"{name}.emb1.csv").write_bytes(body)
         runs = [["eval-knn", "--train-emb", str(p), "--test-emb", emb_files[1]]
-                for p in (short_emb, bad_side)]
+                for p in [short_emb] + bad_sides]
         for name, raw in checkpoints.items():
             (tmp_path / name).write_bytes(raw)
             runs.append(["pca-map", "--checkpoint", str(tmp_path / name),
@@ -227,6 +237,14 @@ class TestExitCodes:
         for argv in runs:  # an exception escaping main() fails the test
             rc, _, err = run_cli(argv, capsys)
             assert rc == 1 and err.startswith("error: "), (argv, err)
+            assert str(tmp_path) in err, (argv, err)
+
+    def test_negative_noise_is_validation_error(self, tmp_path, capsys):
+        rc, _, err = run_cli(["gen-synthetic", "--out", str(tmp_path / "d"),
+                              "--set", "synth.noise_base=-1"], capsys)
+        assert rc == 1
+        assert err.startswith("error: ") and "noise" in err
+        assert not (tmp_path / "d").exists()
 
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import smearssl.synthetic as synthetic
 from oracles import (classify_by_eccentricity, eccentricity_feature,
-                     patch_count_formula)
+                     patch_count_formula, reference_render_cell)
 from smearssl.augment import CropSpec, multicrop, resize_bilinear
 from smearssl.data import (
     ManifestRecord,
@@ -390,6 +391,46 @@ class TestSynthetic:
             SynthConfig(cells_min=5, cells_max=3)
         with pytest.raises(ParameterError):
             SynthConfig(cell_radius_lo=0.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(noise_base=-1.0),
+                                        dict(noise_base=0.01, noise_step=-0.02),
+                                        dict(noise_step=-0.004, sources=5),
+                                        dict(noise_step=float("nan"))])
+    def test_negative_or_nan_noise_rejected(self, kwargs):
+        with pytest.raises(ParameterError, match="noise"):
+            SynthConfig(**kwargs)
+
+    def test_noise_reaching_zero_accepted(self):
+        cfg = SynthConfig(n_images=2, noise_base=0.008, noise_step=-0.008)
+        assert len(gen_synthetic(cfg)) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [16, 64, 97])
+    def test_windowed_cells_match_full_frame_oracle(self, monkeypatch, size, seed):
+        # all 8 classes; radii up to 0.49 so cells touch the frame edge
+        cfg = SynthConfig(n_images=16, classes=8, image_size=size, cells_max=12,
+                          cell_radius_lo=0.05, cell_radius_hi=0.49, seed=seed)
+        got = gen_synthetic(cfg)
+        monkeypatch.setattr(synthetic, "_render_cell", reference_render_cell)
+        want = gen_synthetic(cfg)
+        assert {s.label for s in got} == set(CLASS_NAMES)
+        for g, w in zip(got, want, strict=True):
+            assert g.image.pixels.tobytes() == w.image.pixels.tobytes()
+            assert g.mask.tobytes() == w.mask.tobytes()
+            if w.overlay_mask is None:
+                assert g.overlay_mask is None
+            else:
+                assert g.overlay_mask.tobytes() == w.overlay_mask.tobytes()
+
+    def test_prefix_of_longer_corpus_is_shorter_corpus(self):
+        # each image depends only on (seed, index)
+        cfg = SynthConfig(n_images=4, classes=8, seed=3)
+        short = gen_synthetic(cfg)
+        long = gen_synthetic(SynthConfig(n_images=11, classes=8, seed=3))
+        for a, b in zip(short, long[:4], strict=True):
+            assert (a.image.image_id, a.label) == (b.image.image_id, b.label)
+            assert a.image.pixels.tobytes() == b.image.pixels.tobytes()
+            assert a.mask.tobytes() == b.mask.tobytes()
 
 
 class TestSmearImageValidation:

@@ -588,6 +588,27 @@ class TestEmbeddingIO:
         with pytest.raises(InputError, match="sidecar header"):
             read_embeddings(path)
 
+    def test_non_utf8_sidecar_rejected_with_line(self, tmp_path):
+        emb = EmbeddingSet(np.zeros((2, 2), np.float32), ["a", "b"],
+                           ["s", "s"], [None, None])
+        path = str(tmp_path / "e.emb")
+        write_embeddings(path, emb)
+        with open(sidecar_path(path), "wb") as fh:
+            fh.write(b"row,id,source_id,label\n0,a,s,\n1,\xff,s,\n")
+        with pytest.raises(InputError, match=r"e\.emb\.csv: line 3 is not UTF-8"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("bad_row", ["0", "0,a,s", "0,a,s,,extra"])
+    def test_sidecar_row_with_wrong_field_count_rejected(self, tmp_path, bad_row):
+        emb = EmbeddingSet(np.zeros((2, 2), np.float32), ["a", "b"],
+                           ["s", "s"], [None, None])
+        path = str(tmp_path / "e.emb")
+        write_embeddings(path, emb)
+        with open(sidecar_path(path), "w") as fh:
+            fh.write(f"row,id,source_id,label\n{bad_row}\n1,b,s,\n")
+        with pytest.raises(InputError, match=r"e\.emb\.csv: line 2 "):
+            read_embeddings(path)
+
     def test_missing_sidecar_rejected(self, tmp_path):
         emb = EmbeddingSet(np.zeros((2, 2), np.float32), ["a", "b"],
                            ["s", "s"], [None, None])

@@ -552,6 +552,22 @@ class TestCorruptCheckpoint:
     def test_non_utf8_config(self, tmp_path):
         self._read(tmp_path, _rdck(_encode_config(VitConfig()) + b"\xff\n"))
 
+    def test_config_missing_field_names_file(self, tmp_path):
+        path = tmp_path / "bad.rdck"
+        path.write_bytes(_rdck(_encode_config(VitConfig()).replace(b"depth=2\n", b"")))
+        with pytest.raises(InputError, match=r"bad\.rdck: .*missing fields: \['depth'\]"):
+            read_checkpoint(str(path))
+
+    @pytest.mark.parametrize("good,bad", [(b"image_size=64", b"image_size=0"),
+                                          (b"patch_size=8", b"patch_size=0"),
+                                          (b"heads=4", b"heads=0")])
+    def test_config_value_out_of_range_names_file(self, tmp_path, good, bad):
+        path = tmp_path / "bad.rdck"
+        path.write_bytes(_rdck(_encode_config(VitConfig()).replace(good, bad)))
+        field = bad.split(b"=")[0].decode()
+        with pytest.raises(InputError, match=rf"bad\.rdck: {field} must be >= 1"):
+            read_checkpoint(str(path))
+
 
 class TestTrainConfigValidation:
     def test_negative_iterations(self):
