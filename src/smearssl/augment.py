@@ -37,32 +37,35 @@ class CropSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+        for name in ("jitter_strength", "blur_sigma", "solarize_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.jitter_strength < 0 or self.blur_sigma <= 0:
             raise ParameterError("jitter_strength must be >= 0 and blur_sigma > 0")
+
+
+def _taps(n: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two source indices and the float32 weight of the second, for
+    each of `out` half-pixel-centre samples over `n` pixels."""
+    pos = (np.arange(out, dtype=np.float64) + 0.5) * (n / out) - 0.5
+    i0 = np.clip(np.floor(pos), 0, n - 1).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n - 1)
+    return i0, i1, np.clip(pos - i0, 0.0, 1.0).astype(np.float32)
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """[H,W,C] float32 -> [out_h,out_w,C], half-pixel-center sampling. The
     identity geometry returns the input unchanged so identity pipelines stay
-    bit-exact."""
+    bit-exact. Separable: each source row is interpolated along x once, then
+    rows are blended along y, with the float32 ops of the four-corner form."""
     h, w = img.shape[:2]
     if (h, w) == (out_h, out_w):
         return img.copy()
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
-    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0).astype(np.float32)[None, :, None]
-    a = img[y0[:, None], x0[None, :]]
-    b = img[y0[:, None], x1[None, :]]
-    c = img[y1[:, None], x0[None, :]]
-    d = img[y1[:, None], x1[None, :]]
-    top = a * (1 - wx) + b * wx
-    bot = c * (1 - wx) + d * wx
-    return (top * (1 - wy) + bot * wy).astype(np.float32)
+    y0, y1, wy = _taps(h, out_h)
+    x0, x1, wx = _taps(w, out_w)
+    wx, wy = wx[:, None], wy[:, None, None]
+    rows = img[:, x0] * (1 - wx) + img[:, x1] * wx
+    return rows[y0] * (1 - wy) + rows[y1] * wy
 
 
 def random_resized_crop(img: np.ndarray, size: int, scale: tuple[float, float],

@@ -13,11 +13,16 @@ Layout, all integers little-endian:
 float32 payloads round-trip bit-exactly. The same container stores both the
 exported teacher encoder (config + encoder params) and the full training
 state (params plus optimizer moments and counters under prefixed names).
+
+A write streams each blob straight from its array to a temp file beside the
+target, then replaces the target atomically: it holds no copy of the
+payload, and a failed or killed write leaves the old file whole.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 import struct
 from dataclasses import fields
 
@@ -50,26 +55,28 @@ def _decode_config(raw: bytes) -> VitConfig:
 
 
 def write_checkpoint(path: str, cfg: VitConfig, params: dict[str, np.ndarray]) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", VERSION))
-    cfg_bytes = _encode_config(cfg)
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
-    buf.write(struct.pack("<I", len(params)))
-    for name in params:  # insertion order; writers keep it deterministic
-        arr = np.ascontiguousarray(params[name], dtype=np.float32)
-        nb = name.encode("utf-8")
+    """Streams the file to `path + ".tmp"`, then renames it onto `path`, so a
+    failed or killed write leaves any old file at `path` as it was."""
+    names = [name.encode("utf-8") for name in params]  # insertion order
+    for name, nb in zip(params, names):
         if len(nb) > 0xFFFF:
             raise InputError(f"parameter name too long: {name[:40]}...")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        for ext in arr.shape:
-            buf.write(struct.pack("<I", ext))
-        buf.write(arr.tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    cfg_bytes = _encode_config(cfg)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<HI", VERSION, len(cfg_bytes)))
+            fh.write(cfg_bytes + struct.pack("<I", len(params)))
+            for nb, arr in zip(names, params.values()):
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                fh.write(struct.pack("<H", len(nb)) + nb
+                         + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                fh.write(memoryview(arr.reshape(-1)).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path: str) -> tuple[VitConfig, dict[str, np.ndarray]]:

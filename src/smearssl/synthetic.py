@@ -69,6 +69,9 @@ class SynthConfig:
             raise ParameterError("need 1 <= cells_min <= cells_max")
         if not 0.0 < self.cell_radius_lo <= self.cell_radius_hi < 0.5:
             raise ParameterError("cell radii must satisfy 0 < lo <= hi < 0.5")
+        for name in ("tint_delta", "illum"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         last_sigma = self.noise_base + self.noise_step * (self.sources - 1)
         if not (self.noise_base >= 0 and last_sigma >= 0):  # also refuses NaN
             raise ParameterError("noise sigma noise_base + noise_step * source "

@@ -34,6 +34,9 @@ ADAM_EPS = 1e-8
 _STREAM_BATCH = 1
 _STREAM_AUG = 2
 
+# elements per block of the in-place AdamW and EMA updates (256 KB of float32)
+_BLOCK = 1 << 16
+
 # state.rdck keeps the iteration in a float32 blob, exact up to 2**24
 MAX_ITERATIONS = 2**24
 
@@ -89,13 +92,23 @@ def schedule(iteration: int, cfg: TrainConfig) -> dict[str, float]:
     return {"lr": lr, "m_t": m_t}
 
 
+def _blocks(*arrays: np.ndarray):
+    """Aligned flat views of equal-size C-contiguous arrays, _BLOCK elements
+    at a time; writes to a view land in its array."""
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _BLOCK):
+        yield [f[i:i + _BLOCK] for f in flat]
+
+
 def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
                m_t: float) -> None:
     """t' = m_t * t + (1 - m_t) * s per scalar, in place as
-    t += (1 - m_t) * (s - t). The endpoints are special-cased so m_t of
-    exactly 0 (a copy, never an alias) or 1 is bit-exact."""
+    t += (1 - m_t) * (s - t), one block at a time. The endpoints are
+    special-cased so m_t of exactly 0 (a copy, never an alias) or 1 is
+    bit-exact."""
     if teacher.keys() != student.keys():
         raise DimensionError("teacher/student parameter names differ")
+    scratch = np.empty(_BLOCK, dtype=np.float32)
     for name, t in teacher.items():
         s = student[name]
         if t.data.shape != s.data.shape:
@@ -105,10 +118,11 @@ def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
             continue
         if m_t == 0.0:
             t.data = s.data.copy()
-        else:
-            step = s.data - t.data
+            continue
+        for tb, sb in _blocks(t.data, s.data):
+            step = np.subtract(sb, tb, out=scratch[:tb.size])
             step *= 1.0 - m_t
-            t.data += step
+            tb += step
 
 
 @dataclass
@@ -182,39 +196,40 @@ def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfi
 
 
 def _adamw_step(state: TrainState, lr: float) -> None:
-    """AdamW with decay on matrices only, in place: the float32 ops of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    """AdamW with decay on matrices only, in place, one block at a time: the
+    float32 ops of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p), in that order, so the
     result is bit-identical to that form. Consumes and clears the grads."""
     cfg = state.train_cfg
     t = state.iteration + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
+    scratch = np.empty(_BLOCK, dtype=np.float32)
     for name, p in state.student_params().items():
         g = p.grad
         if g is None:
             continue
         p.grad = None
-        m = state.moments_m[name]
-        v = state.moments_v[name]
-        buf = np.empty_like(p.data)
-        np.multiply(g, 1 - ADAM_BETA1, out=buf)
-        m *= ADAM_BETA1
-        m += buf
-        np.multiply(g, 1 - ADAM_BETA2, out=buf)
-        buf *= g
-        v *= ADAM_BETA2
-        v += buf
-        update = np.divide(m, bc1, out=g)
-        np.divide(v, bc2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += ADAM_EPS
-        update /= buf
-        if cfg.weight_decay > 0 and p.data.ndim >= 2:
-            np.multiply(p.data, cfg.weight_decay, out=buf)
-            update += buf
-        update *= np.float32(lr)
-        p.data -= update
+        decay = cfg.weight_decay > 0 and p.data.ndim >= 2
+        for pb, gb, m, v in _blocks(p.data, g, state.moments_m[name],
+                                    state.moments_v[name]):
+            buf = np.multiply(gb, 1 - ADAM_BETA1, out=scratch[:gb.size])
+            m *= ADAM_BETA1
+            m += buf
+            np.multiply(gb, 1 - ADAM_BETA2, out=buf)
+            buf *= gb
+            v *= ADAM_BETA2
+            v += buf
+            update = np.divide(m, bc1, out=gb)
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += ADAM_EPS
+            update /= buf
+            if decay:
+                np.multiply(pb, cfg.weight_decay, out=buf)
+                update += buf
+            update *= np.float32(lr)
+            pb -= update
 
 
 def teacher_targets(state: TrainState, stacked: np.ndarray) -> list[np.ndarray]:

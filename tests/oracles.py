@@ -6,12 +6,16 @@ Everything here is deliberately naive: double loops, dense eigensolvers,
 hand-rolled confusion matrices. Slow is fine; these only run in tests.
 """
 
+import io
 import math
+import struct
 from collections import deque
 
 import numpy as np
 
 import smearssl.tensor as T
+from smearssl.checkpoint import MAGIC, VERSION, _encode_config
+from smearssl.errors import InputError
 from smearssl.synthetic import (_BG_BASE, _CELL_BASE, _ECC_BANDS, _PIGMENT,
                                 _RING_COLOR, CLASS_NAMES)
 from smearssl.vit import VitConfig, VitEncoder
@@ -231,6 +235,56 @@ def reference_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
     local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
     return y, g * local
+
+
+def reference_resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize by four fancy-index gathers per output pixel, one per
+    corner: the float ops the separable ``augment.resize_bilinear`` must
+    match byte for byte."""
+    h, w = img.shape[:2]
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
+    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)[:, None, None]
+    wx = np.clip(xs - x0, 0.0, 1.0).astype(np.float32)[None, :, None]
+    a = img[y0[:, None], x0[None, :]]
+    b = img[y0[:, None], x1[None, :]]
+    c = img[y1[:, None], x0[None, :]]
+    d = img[y1[:, None], x1[None, :]]
+    top = a * (1 - wx) + b * wx
+    bot = c * (1 - wx) + d * wx
+    return (top * (1 - wy) + bot * wy).astype(np.float32)
+
+
+def reference_write_checkpoint(path: str, cfg: VitConfig,
+                               params: dict[str, np.ndarray]) -> None:
+    """The RDCK file built whole in memory, then written in one call: the
+    bytes the streaming ``checkpoint.write_checkpoint`` must reproduce."""
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(struct.pack("<H", VERSION))
+    cfg_bytes = _encode_config(cfg)
+    buf.write(struct.pack("<I", len(cfg_bytes)))
+    buf.write(cfg_bytes)
+    buf.write(struct.pack("<I", len(params)))
+    for name in params:
+        arr = np.ascontiguousarray(params[name], dtype=np.float32)
+        nb = name.encode("utf-8")
+        if len(nb) > 0xFFFF:
+            raise InputError(f"parameter name too long: {name[:40]}...")
+        buf.write(struct.pack("<H", len(nb)))
+        buf.write(nb)
+        buf.write(struct.pack("<B", arr.ndim))
+        for ext in arr.shape:
+            buf.write(struct.pack("<I", ext))
+        buf.write(arr.tobytes(order="C"))
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
 
 
 def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,

@@ -246,6 +246,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and "noise" in err
         assert not (tmp_path / "d").exists()
 
+    def test_non_finite_crop_float_is_validation_error(self, dataset, tmp_path,
+                                                       capsys):
+        rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
+                              "--out", str(tmp_path / "o"),
+                              "--set", "crop.blur_sigma=nan"], capsys)
+        assert rc == 1
+        assert err.startswith("error: ") and "blur_sigma" in err
+        assert "Traceback" not in err
+
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):
         tr, _ = emb_files

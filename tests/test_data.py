@@ -8,7 +8,8 @@ import pytest
 
 import smearssl.synthetic as synthetic
 from oracles import (classify_by_eccentricity, eccentricity_feature,
-                     patch_count_formula, reference_render_cell)
+                     patch_count_formula, reference_render_cell,
+                     reference_resize_bilinear)
 from smearssl.augment import CropSpec, multicrop, resize_bilinear
 from smearssl.data import (
     ManifestRecord,
@@ -252,9 +253,28 @@ class TestMulticrop:
         with pytest.raises(ParameterError):
             CropSpec(flip_p=1.5)
 
+    @pytest.mark.parametrize("field", ["jitter_strength", "blur_sigma",
+                                       "solarize_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_spec_float_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            CropSpec(**{field: value})
+
     def test_resize_bilinear_identity(self, rng):
         img = rng.uniform(size=(17, 23, 3)).astype(np.float32)
         np.testing.assert_allclose(resize_bilinear(img, 17, 23), img, atol=1e-6)
+
+    def test_separable_resize_matches_four_corner_oracle(self, rng):
+        # up- and downsampling, 1-pixel sources and strided crop views
+        for _ in range(300):
+            h, w, out_h, out_w = (int(n) for n in rng.integers(1, 80, size=4))
+            base = rng.uniform(size=(2 * h + 3, 2 * w + 3, 3)).astype(np.float32)
+            y, x, step = (int(n) for n in rng.integers(1, 3, size=3))
+            img = base[y:y + step * h:step, x:x + step * w:step]
+            got = resize_bilinear(img, out_h, out_w)
+            want = reference_resize_bilinear(img, out_h, out_w)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (h, w, out_h, out_w, step)
 
 
 class TestManifest:
@@ -399,6 +419,14 @@ class TestSynthetic:
     def test_negative_or_nan_noise_rejected(self, kwargs):
         with pytest.raises(ParameterError, match="noise"):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [("tint_delta", float("nan")),
+                                             ("tint_delta", float("-inf")),
+                                             ("illum", float("inf")),
+                                             ("illum", float("nan"))])
+    def test_non_finite_tint_or_illum_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SynthConfig(**{field: value})
 
     def test_noise_reaching_zero_accepted(self):
         cfg = SynthConfig(n_images=2, noise_base=0.008, noise_step=-0.008)

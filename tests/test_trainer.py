@@ -1,6 +1,7 @@
 """Training loop: schedules, EMA, determinism, persistence, resume."""
 
 import dataclasses
+import filecmp
 import os
 import struct
 
@@ -10,7 +11,9 @@ import pytest
 import smearssl.tensor as T
 import smearssl.trainer as trainer_mod
 from smearssl.augment import CropSpec
-from smearssl.checkpoint import _decode_config, _encode_config, read_checkpoint
+from oracles import reference_write_checkpoint
+from smearssl.checkpoint import (_decode_config, _encode_config, read_checkpoint,
+                                 write_checkpoint)
 from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
 from smearssl.objective import (SslConfig, head_forward,
                                 teacher_targets_multiview, total_loss)
@@ -139,6 +142,24 @@ class TestEmaUpdate:
         assert t["w"].data.dtype == np.float32
         np.testing.assert_allclose(t["w"].data, want, rtol=1e-6, atol=0)
 
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("m_t", [0.996, 0.5])
+    def test_blocked_update_bit_identical_to_whole_array_formula(
+            self, monkeypatch, rng, block, m_t):
+        if block is not None:
+            monkeypatch.setattr(trainer_mod, "_BLOCK", block)
+        shapes = {"w": (300, 700), "b": (5,), "one": (1,), "cube": (3, 4, 9)}
+        t = {k: T.Tensor(rng.normal(size=sh).astype(np.float32))
+             for k, sh in shapes.items()}
+        s = {k: T.Tensor(rng.normal(size=sh).astype(np.float32))
+             for k, sh in shapes.items()}
+        want = {k: p.data.copy() for k, p in t.items()}
+        for k, w in want.items():
+            w += (1 - m_t) * (s[k].data - w)
+        ema_update(t, s, m_t)
+        for k in shapes:
+            assert t[k].data.tobytes() == want[k].tobytes(), k
+
     def test_zero_momentum_copy_is_not_moved_by_optimizer(self):
         state = init_train_state(TINY_VIT, TINY_SSL, tiny_train_cfg())
         ema_update(state.teacher_params(), state.student_params(), 0.0)
@@ -171,8 +192,51 @@ def reference_adamw_step(state, lr):
         p.data = p.data - np.float32(lr) * update
 
 
+def reference_ema_update(teacher, student, m_t):
+    """The whole-array EMA formula that the blocked update reproduces."""
+    for name, t in teacher.items():
+        t.data = t.data + (1 - m_t) * (student[name].data - t.data)
+
+
+def _state_arrays(state):
+    """Every array that AdamW and the EMA update, in a fixed order."""
+    return ([p.data for p in state.student_params().values()]
+            + [p.data for p in state.teacher_params().values()]
+            + list(state.moments_m.values()) + list(state.moments_v.values()))
+
+
 class TestAdamW:
     def test_in_place_step_bit_identical_to_formula(self, rng):
+        self._check_against_formula(rng)
+
+    def test_ragged_blocks_bit_identical_to_formula(self, monkeypatch, rng):
+        # no tiny-config tensor size is a multiple of 7: every last block is partial
+        monkeypatch.setattr(trainer_mod, "_BLOCK", 7)
+        self._check_against_formula(rng)
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_updates_write_into_the_state_arrays(self, monkeypatch, rng, block):
+        # a flat block that were silently a copy would drop its writes
+        if block is not None:
+            monkeypatch.setattr(trainer_mod, "_BLOCK", block)
+        got, want = (init_train_state(TINY_VIT, TINY_SSL, tiny_train_cfg())
+                     for _ in range(2))
+        for k, p in got.student_params().items():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+            want.student_params()[k].grad = p.grad.copy()
+        before = _state_arrays(got)
+        trainer_mod._adamw_step(got, 1e-2)
+        ema_update(got.teacher_params(), got.student_params(), 0.9)
+        reference_adamw_step(want, 1e-2)
+        reference_ema_update(want.teacher_params(), want.student_params(), 0.9)
+        after = _state_arrays(got)
+        fresh = _state_arrays(init_train_state(TINY_VIT, TINY_SSL, tiny_train_cfg()))
+        assert all(a is b for a, b in zip(before, after, strict=True))
+        for a, b, c in zip(after, _state_arrays(want), fresh, strict=True):
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() != c.tobytes()
+
+    def _check_against_formula(self, rng):
         cfg = tiny_train_cfg(weight_decay=0.04)
         got, want = (init_train_state(TINY_VIT, TINY_SSL, cfg) for _ in range(2))
         start = {k: p.data.copy() for k, p in got.student_params().items()}
@@ -501,6 +565,60 @@ class TestPersistence:
             load_encoder(path)
 
 
+class TestStreamingWriter:
+    def _same_bytes(self, tmp_path, params, cfg=TINY_VIT):
+        got, want = str(tmp_path / "got.rdck"), str(tmp_path / "want.rdck")
+        write_checkpoint(got, cfg, params)
+        reference_write_checkpoint(want, cfg, params)
+        assert filecmp.cmp(got, want, shallow=False)
+        assert sorted(os.listdir(tmp_path)) == ["got.rdck", "want.rdck"]
+        return read_checkpoint(got)[1]
+
+    def test_default_state_matches_in_memory_writer(self, tmp_path):
+        state = init_train_state(VitConfig(), SslConfig(), TrainConfig())
+        self._same_bytes(tmp_path, trainer_mod._state_blobs(state), VitConfig())
+
+    def test_odd_blobs_match_in_memory_writer(self, tmp_path, rng):
+        wide = rng.normal(size=(6, 9)).astype(np.float32)
+        params = {"zero_d": np.array(2.5, dtype=np.float32),
+                  "float64": rng.normal(size=(3, 4)),
+                  "strided": wide[1::2, ::3],
+                  "transposed": wide.T,
+                  "empty": np.zeros((0, 5), dtype=np.float32)}
+        back = self._same_bytes(tmp_path, params)
+        for name, arr in params.items():
+            assert back[name].tobytes() == np.asarray(arr, np.float32).tobytes()
+
+    def test_empty_dict_matches_in_memory_writer(self, tmp_path):
+        assert self._same_bytes(tmp_path, {}) == {}
+
+    def _old_file(self, tmp_path):
+        path = str(tmp_path / "x.rdck")
+        write_checkpoint(path, TINY_VIT, {"w": np.ones((2, 3), np.float32)})
+        with open(path, "rb") as fh:
+            return path, fh.read()
+
+    def test_long_name_refused_before_writing(self, tmp_path):
+        path, old = self._old_file(tmp_path)
+        params = {"w": np.zeros((64, 64), np.float32), "n" * 65536: np.zeros(1)}
+        with pytest.raises(InputError, match="parameter name too long"):
+            write_checkpoint(path, TINY_VIT, params)
+        with open(path, "rb") as fh:
+            assert fh.read() == old
+        assert os.listdir(tmp_path) == ["x.rdck"]
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        # an extent of 2**32 does not fit its u32 field; the blob is empty
+        path, old = self._old_file(tmp_path)
+        params = {"w": np.ones((64, 64), np.float32),
+                  "huge": np.zeros((2**32, 0), np.float32)}
+        with pytest.raises(struct.error):
+            write_checkpoint(path, TINY_VIT, params)
+        with open(path, "rb") as fh:
+            assert fh.read() == old
+        assert os.listdir(tmp_path) == ["x.rdck"]
+
+
 class TestCheckpointHeader:
     OTHER = VitConfig(image_size=96, patch_size=16, embed_dim=48, depth=3,
                       heads=6, mlp_ratio=2.5, in_channels=1)
@@ -543,6 +661,19 @@ class TestCorruptCheckpoint:
 
     def test_truncated_header(self, tmp_path):
         self._read(tmp_path, b"RDCK\x01")
+
+    def _cut(self, tmp_path, edit, match):
+        path = tmp_path / "bad.rdck"
+        write_checkpoint(str(path), TINY_VIT, {"w": np.ones((2, 3), np.float32)})
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(InputError, match=match):
+            read_checkpoint(str(path))
+
+    def test_truncated_blob(self, tmp_path):
+        self._cut(tmp_path, lambda raw: raw[:-1], r"bad\.rdck: truncated blob 'w'")
+
+    def test_trailing_bytes(self, tmp_path):
+        self._cut(tmp_path, lambda raw: raw + b"\0", r"bad\.rdck: 1 trailing bytes")
 
     def test_non_integer_config_value(self, tmp_path):
         cfg = _encode_config(VitConfig()).replace(b"image_size=64",
