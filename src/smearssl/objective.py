@@ -79,11 +79,11 @@ def head_forward(params: dict[str, T.Tensor], x: T.Tensor) -> tuple[T.Tensor, T.
 
 
 def renormalize_prototypes(params: dict[str, T.Tensor]) -> None:
-    """Project prototype rows back onto the unit sphere (run after each
-    optimizer step)."""
+    """Project prototype rows back onto the unit sphere, in place (run after
+    each optimizer step)."""
     p = params["prototypes"].data
     norms = np.linalg.norm(p.astype(np.float64), axis=1, keepdims=True)
-    params["prototypes"].data = (p / np.maximum(norms, 1e-12)).astype(p.dtype)
+    np.divide(p, np.maximum(norms, 1e-12), out=p, casting="same_kind")
 
 
 @dataclass

@@ -40,7 +40,6 @@ def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ProbeResult:
     predictions: list[str]
     metrics: dict[str, float]
-    train_metrics: dict[str, float]
     classes: list[str]
     epochs_run: int
     converged: bool
@@ -134,14 +133,11 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
     w, b, epochs, converged = _fit_softmax(x, y_index, len(classes), reg_lambda,
                                            max_epochs, tol)
 
-    def predict(z: np.ndarray) -> list[str]:
-        return [classes[i] for i in (w @ z.T + b[:, None]).argmax(axis=0)]
-
-    preds = predict((test.vectors.astype(np.float64) - mean) / std)
+    z = (test.vectors.astype(np.float64) - mean) / std
+    preds = [classes[i] for i in (w @ z.T + b[:, None]).argmax(axis=0)]
     return ProbeResult(
         predictions=preds,
         metrics=compute_metrics(y_test, preds),
-        train_metrics=compute_metrics(y_train, predict(x)),
         classes=classes,
         epochs_run=epochs,
         converged=converged,
@@ -189,7 +185,7 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return near
 
 
-def knn(train: EmbeddingSet, test: EmbeddingSet, k: int,
+def knn(train: EmbeddingSet, test: EmbeddingSet, k: int = 20,
         metric: str = "cosine") -> KnnResult:
     """Exact brute-force k-NN. Cosine distance on l2-normalized rows by
     default. A row's k neighbors are its k smallest distances, equal ones in

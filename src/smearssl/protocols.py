@@ -22,18 +22,16 @@ log = logging.getLogger("smearssl.protocols")
 
 
 def run_classifier(spec: dict, train: EmbeddingSet, test: EmbeddingSet) -> dict[str, float]:
+    """Runs the spec's classifier with the spec keys of its kind; a key the
+    spec leaves out takes the classifier's own default."""
     kind = spec.get("kind")
     if kind == "knn":
-        return knn(train, test, k=int(spec.get("k", 20)),
-                   metric=spec.get("metric", "cosine")).metrics
-    if kind == "linear":
-        return linear_probe(
-            train, test,
-            reg_lambda=float(spec.get("reg_lambda", 1e-4)),
-            max_epochs=int(spec.get("max_epochs", 500)),
-            tol=float(spec.get("tol", 1e-6)),
-        ).metrics
-    raise ParameterError(f"unknown classifier kind {kind!r}")
+        classifier, keys = knn, ("k", "metric")
+    elif kind == "linear":
+        classifier, keys = linear_probe, ("reg_lambda", "max_epochs", "tol")
+    else:
+        raise ParameterError(f"unknown classifier kind {kind!r}")
+    return classifier(train, test, **{key: spec[key] for key in keys if key in spec}).metrics
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -81,29 +81,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -252,23 +237,6 @@ def mul(a, b) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "div")
-    out = Tensor(a.data / b.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    return _maybe_record(out, (a, b), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Supports 2-d x 2-d, stacked x stacked (identical
     leading dims), and stacked x 2-d (shared weight, gradient summed)."""
@@ -406,7 +374,7 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
 # --- reductions ---------------------------------------------------------
 
 
-def _reduce_backward_shape(a: Tensor, axis, keepdims):
+def _reduce_backward_shape(a: Tensor, axis):
     if axis is None:
         return (1,) * a.ndim, a.shape
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
@@ -417,7 +385,7 @@ def _reduce_backward_shape(a: Tensor, axis, keepdims):
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    kept, full = _reduce_backward_shape(a, axis, keepdims)
+    kept, full = _reduce_backward_shape(a, axis)
 
     def backward():
         if out.grad is not None and a.requires_grad:
@@ -428,7 +396,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    kept, full = _reduce_backward_shape(a, axis, keepdims)
+    kept, full = _reduce_backward_shape(a, axis)
     count = a.data.size / max(out.data.size, 1)
 
     def backward():
@@ -440,16 +408,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # --- elementwise nonlinearities -----------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * out.data)
-
-    return _maybe_record(out, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -519,33 +477,15 @@ def gelu(a: Tensor) -> Tensor:
 # --- normalizers --------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise ParameterError(f"softmax temperature must be positive, got {temperature}")
-    z = a.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
-
-    def backward():
-        if out.grad is None or not a.requires_grad:
-            return
-        g = out.grad
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        a.accumulate_grad((s * (g - dot)) / temperature)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def attention(qkv: Tensor, heads: int) -> Tensor:
     """Multi-head self-attention core as one record: packed q|k|v tokens
     [B, T, 3D] -> softmax(q kT / sqrt(D/heads)) v, heads merged to [B, T, D].
 
     Forward and gradients are bit-identical to the same computation built
-    from reshape, transpose, narrow, matmul, mul and softmax records: BLAS
-    rounds by operand layout, so every matmul here, backward included, gets
-    that composition's layouts (contiguous or transposed views)."""
+    from reshape, transpose, narrow, matmul and mul records and a last-axis
+    softmax record: BLAS rounds by operand layout, so every matmul here,
+    backward included, gets that composition's layouts (contiguous or
+    transposed views)."""
     b, t, d3 = qkv.shape
     if d3 % (3 * heads) != 0:
         raise DimensionError(f"attention: packed width {d3} not divisible by 3 x {heads} heads")

@@ -264,7 +264,9 @@ def train_step(state: TrainState, views: list[np.ndarray]) -> float:
     with T.Tape() as tape:
         logits, z = head_forward(state.student_head,
                                  state.student_enc.forward(stacked))
-        loss = total_loss(per_view(logits), targets, state.ssl_cfg, per_view(z))
+        # only the KoLeo term reads the bottleneck
+        zs = per_view(z) if state.ssl_cfg.koleo_weight > 0 else None
+        loss = total_loss(per_view(logits), targets, state.ssl_cfg, zs)
         loss.check_finite("total loss")
         tape.backward(loss)
 

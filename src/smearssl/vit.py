@@ -118,7 +118,8 @@ def init_vit_params(cfg: VitConfig, rng: np.random.Generator, dtype=np.float32) 
 
 class VitEncoder:
     """Pre-norm ViT; forward returns the CLS embedding after the final
-    layernorm, with patch tokens exposed for the feature-map path."""
+    layernorm and copies out no patch tokens; forward_tokens also returns
+    them, for the feature-map path."""
 
     LN_EPS = 1e-6
 
@@ -129,11 +130,8 @@ class VitEncoder:
             params = init_vit_params(cfg, np.random.Generator(np.random.PCG64(seed)), dtype=dtype)
         self.params = params
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
-
-    def forward_tokens(self, images: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
-        """Returns (cls [B,D], patch tokens [B,N,D]) after the final layernorm."""
+    def _tokens(self, images: np.ndarray) -> T.Tensor:
+        """All tokens [B, 1+N, D] after the final layernorm, CLS first."""
         cfg, p = self.cfg, self.params
         patches = images_to_patches(np.asarray(images), cfg)
         x = T.Tensor(patches.astype(p["patch_proj.weight"].dtype, copy=False))
@@ -157,11 +155,15 @@ class VitEncoder:
             x.check_finite(f"encoder block {i} output")
         x = T.layernorm(x, p["final_ln.gain"], p["final_ln.bias"], self.LN_EPS)
         x.check_finite("final layernorm output")
-        t = 1 + cfg.num_patches
-        cls_out = T.reshape(T.narrow(x, 1, 0, 1), (b, cfg.embed_dim))
-        patch_out = T.narrow(x, 1, 1, t - 1)
-        return cls_out, patch_out
+        return x
 
     def forward(self, images: np.ndarray) -> T.Tensor:
-        cls_out, _ = self.forward_tokens(images)
-        return cls_out
+        """CLS embeddings [B, D]."""
+        x = self._tokens(images)
+        return T.reshape(T.narrow(x, 1, 0, 1), (x.shape[0], self.cfg.embed_dim))
+
+    def forward_tokens(self, images: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
+        """Returns (cls [B,D], patch tokens [B,N,D]) after the final layernorm."""
+        x = self._tokens(images)
+        cls_out = T.reshape(T.narrow(x, 1, 0, 1), (x.shape[0], self.cfg.embed_dim))
+        return cls_out, T.narrow(x, 1, 1, self.cfg.num_patches)

@@ -287,6 +287,22 @@ def reference_write_checkpoint(path: str, cfg: VitConfig,
         fh.write(buf.getvalue())
 
 
+def reference_softmax(a: T.Tensor) -> T.Tensor:
+    """Softmax over the last axis as one tape record: the generic step that
+    ``T.attention`` fuses."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = T.Tensor(s)
+
+    def backward():
+        if out.grad is not None and a.requires_grad:
+            g = out.grad
+            a.accumulate_grad(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+
+    return T._maybe_record(out, (a,), backward)
+
+
 def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
                         proj_w: T.Tensor, proj_b: T.Tensor, heads: int) -> T.Tensor:
     """Multi-head self-attention over [B, T, D] tokens, composed from the
@@ -301,7 +317,7 @@ def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
     k = T.reshape(T.narrow(qkv, 0, 1, 1), (b, heads, t, dh))
     v = T.reshape(T.narrow(qkv, 0, 2, 1), (b, heads, t, dh))
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
+    attn = reference_softmax(scores)
     ctx = T.matmul(attn, v)  # [B,h,T,dh]
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
     return T.matmul(ctx, proj_w) + proj_b
@@ -379,7 +395,7 @@ def vit_param_count(cfg: VitConfig) -> int:
 
 def encoder_param_count(enc: VitEncoder) -> int:
     """Parameters an instantiated encoder actually holds."""
-    return sum(int(p.data.size) for p in enc.parameters().values())
+    return sum(int(p.data.size) for p in enc.params.values())
 
 
 def reference_size_configs() -> dict[str, VitConfig]:

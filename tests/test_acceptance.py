@@ -1,6 +1,7 @@
 """Acceptance gate.
 
-Ten numbered criteria, one test per criterion, one verdict line per test.
+Ten numbered criteria, one test per criterion, one verdict line per test,
+and one guard that criterion 1 covers every tape primitive.
 Each test measures first, then records a PASS/FAIL line (echoed in the
 terminal summary via conftest) and only then asserts, so the printed line
 carries the observed numbers either way.
@@ -11,6 +12,7 @@ All thresholds there were calibrated once on the pinned seed and then frozen;
 nothing in this file adapts to the observed values.
 """
 
+import inspect
 import time
 import zlib
 
@@ -79,14 +81,6 @@ def _case_mul(rng):
     a, b = _t(rng, (3, 4)), _t(rng, b_shape)
     w = rng.normal(size=(3, 4))
     return [a, b], lambda ts: _weighted_sum(T.mul(ts[0], ts[1]), w)
-
-
-def _case_div(rng):
-    a = _t(rng, (3, 4))
-    denom = rng.uniform(0.5, 1.5, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
-    b = T.Tensor(denom, requires_grad=True)
-    w = rng.normal(size=(3, 4))
-    return [a, b], lambda ts: _weighted_sum(T.div(ts[0], ts[1]), w)
 
 
 def _case_matmul(rng):
@@ -170,12 +164,6 @@ def _reduce_case(op):
     return build
 
 
-def _case_exp(rng):
-    a = _t(rng, (3, 4), -2.0, 2.0)
-    w = rng.normal(size=(3, 4))
-    return [a], lambda ts: _weighted_sum(T.exp(ts[0]), w)
-
-
 def _case_log(rng):
     a = _t(rng, (3, 4), 0.3, 3.0)
     w = rng.normal(size=(3, 4))
@@ -192,13 +180,6 @@ def _case_gelu(rng):
     a = _t(rng, (3, 4), -3.0, 3.0)
     w = rng.normal(size=(3, 4))
     return [a], lambda ts: _weighted_sum(T.gelu(ts[0]), w)
-
-
-def _case_softmax(rng):
-    a = _t(rng, (3, 5), -2.0, 2.0)
-    temp = float([0.5, 1.0, 2.0][int(rng.integers(3))])
-    w = rng.normal(size=(3, 5))
-    return [a], lambda ts: _weighted_sum(T.softmax(ts[0], temperature=temp), w)
 
 
 def _case_log_softmax(rng):
@@ -228,7 +209,6 @@ PRIMITIVE_CASES = {
     "sub": _case_sub,
     "neg": _case_neg,
     "mul": _case_mul,
-    "div": _case_div,
     "matmul": _case_matmul,
     "transpose": _case_transpose,
     "reshape": _case_reshape,
@@ -237,11 +217,9 @@ PRIMITIVE_CASES = {
     "gather_rows": _case_gather_rows,
     "sum": _reduce_case(T.tensor_sum),
     "mean": _reduce_case(T.mean),
-    "exp": _case_exp,
     "log": _case_log,
     "sqrt": _case_sqrt,
     "gelu": _case_gelu,
-    "softmax": _case_softmax,
     "log_softmax": _case_log_softmax,
     "layernorm": _case_layernorm,
     "l2_normalize": _case_l2_normalize,
@@ -250,6 +228,14 @@ PRIMITIVE_CASES = {
 }
 
 CASES_PER_PRIMITIVE = 20
+
+
+def test_gradient_suite_covers_every_primitive():
+    public = {name for name, obj in vars(T).items()
+              if inspect.isfunction(obj) and obj.__module__ == T.__name__
+              and not name.startswith("_")}
+    covered = {"tensor_sum" if name == "sum" else name for name in PRIMITIVE_CASES}
+    assert covered == public - {"active_tape"}
 
 
 def _composite_case(seed: int) -> float:

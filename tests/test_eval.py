@@ -289,13 +289,7 @@ class TestLinearProbe:
     def test_separable_two_class(self, rng):
         train = cluster_set(rng, classes=("a", "b"), d=2, n_per_class=15)
         out = linear_probe(train, train)
-        assert out.train_metrics["acc"] == 1.0
         assert out.metrics["acc"] == 1.0
-
-    def test_test_equals_train_metrics_match(self, rng):
-        train = cluster_set(rng, classes=("a", "b", "c"), spread=0.4)
-        out = linear_probe(train, train)
-        assert out.metrics == out.train_metrics
 
     def test_huge_lambda_collapses_to_prior_argmax(self, rng):
         # unbalanced: 12 of class b, 5 of a, 3 of c -> bias-only model says b
@@ -421,6 +415,20 @@ class TestLoso:
         te = emb.subset([i for i, s in enumerate(emb.sources) if s == "s4"])
         assert rec.metrics == run_classifier(spec, tr, te)
         assert rec.n_train == len(tr) and rec.n_test == len(te)
+
+    def test_spec_takes_its_kinds_keys_and_the_classifiers_defaults(self, rng):
+        emb = cluster_set(rng, n_per_class=14, spread=0.8)
+        tr, te = emb.subset(range(0, 42, 2)), emb.subset(range(1, 42, 2))
+        every_key = {"k": 5, "metric": "euclidean", "reg_lambda": 1e-2,
+                     "max_epochs": 7, "tol": 0.0}
+        assert (run_classifier({"kind": "knn", **every_key}, tr, te)
+                == knn(tr, te, k=5, metric="euclidean").metrics)
+        assert (run_classifier({"kind": "linear", **every_key}, tr, te)
+                == linear_probe(tr, te, reg_lambda=1e-2, max_epochs=7, tol=0.0).metrics)
+        assert (run_classifier({"kind": "knn"}, tr, te)
+                == knn(tr, te, k=20, metric="cosine").metrics)
+        assert (run_classifier({"kind": "linear", "tol": 0.0}, tr, te)
+                == linear_probe(tr, te, reg_lambda=1e-4, max_epochs=500, tol=0.0).metrics)
 
     def test_single_source_rejected(self, rng):
         emb = cluster_set(rng, sources=("only",))

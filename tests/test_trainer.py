@@ -363,9 +363,9 @@ class TestTrainStep:
 
     def test_tape_records_per_step(self, monkeypatch):
         # pins the fused ops, so a split back into generic primitives shows:
-        # at the tiny configs the encoder's stem and tail take 10 records,
+        # at the tiny configs the encoder's stem and tail take 9 records,
         # each block 10 (2 layernorms, 4 linear, attention, gelu, 2 residual
-        # adds), the head 8, the per-view split 4 and the loss 14
+        # adds), the head 8, the per-view split of the logits 2 and the loss 14
         counts = []
         backward = T.Tape.backward
 
@@ -377,7 +377,7 @@ class TestTrainStep:
         cfg = tiny_train_cfg()
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
         train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
-        assert counts == [46]
+        assert counts == [43]
 
     def test_each_tower_runs_once(self, monkeypatch):
         calls = {"encoder": 0, "head": 0}

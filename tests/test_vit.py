@@ -104,6 +104,25 @@ class TestForward:
         assert cls_out.shape == (2, 64)
         assert patches.shape == (2, 64, 64)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_cls_of_forward_tokens_bitwise(self, rng, dtype):
+        enc = VitEncoder(VitConfig(depth=1), seed=0, dtype=dtype)
+        imgs = rng.uniform(size=(2, 64, 64, 3)).astype(dtype)
+        out = enc.forward(imgs).data
+        assert out.dtype == dtype
+        assert out.tobytes() == enc.forward_tokens(imgs)[0].data.tobytes()
+
+    def test_forward_records_no_patch_copy(self, rng):
+        # forward_tokens narrows the patch rows out; forward does not
+        enc = VitEncoder(VitConfig(depth=1), seed=0)
+        imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
+        counts = []
+        for fn in (enc.forward, enc.forward_tokens):
+            with T.Tape() as tape:
+                fn(imgs)
+            counts.append(len(tape))
+        assert counts[0] == counts[1] - 1
+
     def test_same_seed_bit_identical(self, rng):
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
         a = VitEncoder(VitConfig(), seed=7).forward(imgs).data
@@ -127,12 +146,12 @@ class TestForward:
     def test_gradients_reach_all_parameters(self, rng):
         enc = VitEncoder(VitConfig(depth=1), seed=0, dtype=np.float64)
         imgs = rng.uniform(size=(1, 64, 64, 3))
-        for p in enc.parameters().values():
+        for p in enc.params.values():
             p.requires_grad = True
         with T.Tape() as tape:
             out = enc.forward(imgs)
             tape.backward(T.tensor_sum(T.mul(out, out)))
-        for name, p in enc.parameters().items():
+        for name, p in enc.params.items():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
 
