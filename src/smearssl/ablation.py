@@ -56,8 +56,7 @@ def run_arm(mode: str, samples: list[SynthSample], ssl: SslConfig = SSL,
         loss = train_step(state, sample_batch(pixels, CROP, train, i))
         if i % 50 == 0:
             log.info("[%s] it %4d loss %.4f", mode, i, loss)
-    views = sample_batch(pixels, CROP, train, state.iteration)
-    targets = np.concatenate(teacher_targets(state, np.concatenate(views)))
+    targets = teacher_targets(state, sample_batch(pixels, CROP, train, state.iteration))
     return {"entropy": mean_assignment_entropy(targets),
             "marginal_dev": marginal_deviation(targets),
             "cross_source_acc": cross_source_acc(state.teacher_enc, samples),

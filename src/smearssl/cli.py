@@ -22,9 +22,8 @@ from .embeddings import embed, read_embeddings, write_embeddings
 from .errors import SmearSslError, ValidationError
 from .netpbm import read_pgm, read_ppm, write_ppm
 from .pca import pca_map
-from .probes import knn, linear_probe
 from .protocols import (EvalReport, SplitRecord, format_report, kfold,
-                        leave_one_source_out, write_report_csv)
+                        leave_one_source_out, run_classifier, write_report_csv)
 from .synthetic import gen_synthetic, write_dataset
 from .trainer import load_encoder, train
 
@@ -58,16 +57,6 @@ def _build_config(args, flag_keys: dict[str, str]) -> RunConfig:
         if value is not None:
             cfg.set_typed(key, value)
     return cfg
-
-
-def _single_pair_report(name: str, train_tag: str, test_tag: str,
-                        n_train: int, n_test: int,
-                        metrics: dict[str, float]) -> EvalReport:
-    report = EvalReport(protocol=name)
-    report.records.append(SplitRecord(train_tag=train_tag, test_tag=test_tag,
-                                      n_train=n_train, n_test=n_test,
-                                      metrics=metrics))
-    return report
 
 
 def _emit_report(report: EvalReport, path: str | None) -> None:
@@ -151,28 +140,19 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_eval_linear(args) -> int:
-    cfg = _build_config(args, {"reg_lambda": "eval.reg_lambda",
+def cmd_eval_pair(args) -> int:
+    # the subcommand's kind beats any --set eval.classifier
+    cfg = _build_config(args, {"kind": "eval.classifier", "k": "eval.k",
+                               "metric": "eval.metric",
+                               "reg_lambda": "eval.reg_lambda",
                                "max_epochs": "eval.max_epochs",
                                "tol": "eval.tol"})
     tr = read_embeddings(args.train_emb)
     te = read_embeddings(args.test_emb)
-    result = linear_probe(tr, te, reg_lambda=cfg.get("eval.reg_lambda"),
-                          max_epochs=cfg.get("eval.max_epochs"),
-                          tol=cfg.get("eval.tol"))
-    report = _single_pair_report("linear", args.train_emb, args.test_emb,
-                                 len(tr), len(te), result.metrics)
-    _emit_report(report, args.report)
-    return 0
-
-
-def cmd_eval_knn(args) -> int:
-    cfg = _build_config(args, {"k": "eval.k", "metric": "eval.metric"})
-    tr = read_embeddings(args.train_emb)
-    te = read_embeddings(args.test_emb)
-    result = knn(tr, te, k=cfg.get("eval.k"), metric=cfg.get("eval.metric"))
-    report = _single_pair_report("knn", args.train_emb, args.test_emb,
-                                 len(tr), len(te), result.metrics)
+    report = EvalReport(protocol=args.kind)
+    report.records.append(SplitRecord(
+        train_tag=args.train_emb, test_tag=args.test_emb, n_train=len(tr),
+        n_test=len(te), metrics=run_classifier(cfg.classifier_spec(), tr, te)))
     _emit_report(report, args.report)
     return 0
 
@@ -262,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output embedding file (.emb1)")
     p.add_argument("--batch-size", type=int, dest="batch_size")
 
-    p = add("eval-linear", cmd_eval_linear, "linear probe: train/test embedding pair")
+    p = add("eval-linear", cmd_eval_pair, "linear probe: train/test embedding pair")
+    p.set_defaults(kind="linear")
     p.add_argument("--train-emb", required=True, dest="train_emb")
     p.add_argument("--test-emb", required=True, dest="test_emb")
     p.add_argument("--reg-lambda", type=float, dest="reg_lambda")
@@ -270,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--report", help="write per-split CSV here")
 
-    p = add("eval-knn", cmd_eval_knn, "k-NN classifier: train/test embedding pair")
+    p = add("eval-knn", cmd_eval_pair, "k-NN classifier: train/test embedding pair")
+    p.set_defaults(kind="knn")
     p.add_argument("--train-emb", required=True, dest="train_emb")
     p.add_argument("--test-emb", required=True, dest="test_emb")
     p.add_argument("--k", type=int, help="neighbor count")

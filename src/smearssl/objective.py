@@ -12,6 +12,7 @@ supported for the teacher targets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class SslConfig:
     koleo_weight: float = 0.0  # the spread regularizer runs when > 0
 
     def __post_init__(self):
-        if self.student_temp <= 0 or self.teacher_temp <= 0:
-            raise ParameterError("temperatures must be positive")
+        for name in ("student_temp", "teacher_temp"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
         if self.centering not in CENTERING_MODES:
             raise ParameterError(
                 f"centering must be one of {CENTERING_MODES}, got {self.centering!r}")
@@ -47,12 +49,12 @@ class SslConfig:
             raise ParameterError("need at least 2 prototypes")
         if not 0.0 <= self.center_momentum < 1.0:
             raise ParameterError("center_momentum must lie in [0, 1)")
-        if self.koleo_weight < 0:
-            raise ParameterError("koleo_weight must be >= 0")
+        if not 0 <= self.koleo_weight < math.inf:
+            raise ParameterError("koleo_weight must be finite and >= 0")
 
 
-def init_head_params(cfg: SslConfig, embed_dim: int, rng: np.random.Generator,
-                     dtype=np.float32) -> dict[str, T.Tensor]:
+def init_head_params(cfg: SslConfig, embed_dim: int,
+                     rng: np.random.Generator) -> dict[str, T.Tensor]:
     """Three linear layers with GELU between, a normalized bottleneck, and a
     unit-row prototype matrix."""
     w: dict[str, np.ndarray] = {}
@@ -65,7 +67,7 @@ def init_head_params(cfg: SslConfig, embed_dim: int, rng: np.random.Generator,
     protos = truncated_normal(rng, (cfg.num_prototypes, cfg.bottleneck)).astype(np.float64)
     norms = np.linalg.norm(protos, axis=1, keepdims=True)
     w["prototypes"] = (protos / np.maximum(norms, 1e-12)).astype(np.float32)
-    return {k: T.Tensor(v.astype(dtype), requires_grad=True) for k, v in w.items()}
+    return {k: T.Tensor(v, requires_grad=True) for k, v in w.items()}
 
 
 def head_forward(params: dict[str, T.Tensor], x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
@@ -130,41 +132,34 @@ def ema_targets(logits: np.ndarray, center: np.ndarray, temp: float) -> np.ndarr
     return softmax_np(logits.astype(np.float64) - center[None, :], temp)
 
 
-def teacher_targets_multiview(logits_list: list[np.ndarray], cfg: SslConfig,
-                              state: CenteringState | None = None) -> list[np.ndarray]:
-    """Per-view targets, dispatched on the configured centering mode.
-    Sinkhorn balances each view's batch separately; the ema center is read
-    once for all views and then updated once from their concatenation,
-    matching the one-update-per-step convention."""
+def teacher_targets_multiview(logits: np.ndarray, cfg: SslConfig,
+                              state: CenteringState) -> np.ndarray:
+    """Targets for teacher logits [2B, K], the first view's rows then the
+    second's, dispatched on the configured centering mode. Sinkhorn balances
+    each view's half separately; the ema center is read once for all rows
+    and then updated once from them, matching the one-update-per-step
+    convention."""
     if cfg.centering == "sinkhorn":
-        return [sinkhorn_targets(lg, cfg.teacher_temp, cfg.sinkhorn_iters)
-                for lg in logits_list]
+        return np.concatenate([sinkhorn_targets(half, cfg.teacher_temp, cfg.sinkhorn_iters)
+                               for half in np.split(logits, 2)])
     if cfg.centering == "ema":
-        if state is None:
-            raise ParameterError("ema centering requires a CenteringState")
-        out = [ema_targets(lg, state.center, cfg.teacher_temp) for lg in logits_list]
-        state.update(np.concatenate(logits_list, axis=0), cfg.center_momentum)
+        out = ema_targets(logits, state.center, cfg.teacher_temp)
+        state.update(logits, cfg.center_momentum)
         return out
-    return [softmax_np(lg, cfg.teacher_temp) for lg in logits_list]
+    return softmax_np(logits, cfg.teacher_temp)
 
 
-def dino_loss(student_logits: list[T.Tensor], targets: list[np.ndarray],
+def dino_loss(student_logits: T.Tensor, targets: np.ndarray,
               student_temp: float) -> T.Tensor:
     """Cross-entropy of each student view against the other view's teacher
-    targets, averaged over the two ordered pairs."""
-    if len(student_logits) != 2 or len(targets) != 2:
-        raise ParameterError(
-            f"need exactly two views, got {len(student_logits)} student and "
-            f"{len(targets)} teacher")
-    inv_temp = 1.0 / student_temp
-
-    def ce(tgt: np.ndarray, slog: T.Tensor) -> T.Tensor:
-        logp = T.log_softmax(slog * inv_temp, axis=-1)
-        p = T.Tensor(tgt.astype(slog.dtype, copy=False))
-        return T.neg(T.mean(T.tensor_sum(p * logp, axis=-1)))
-
-    return (ce(targets[0], student_logits[1])
-            + ce(targets[1], student_logits[0])) * 0.5
+    targets, averaged over the two ordered pairs; logits and targets are
+    [2B, K], the first view's rows then the second's."""
+    b = student_logits.shape[0] // 2
+    swapped = np.roll(targets, b, axis=0).astype(student_logits.dtype, copy=False)
+    logp = T.log_softmax(student_logits * (1.0 / student_temp), axis=-1)
+    rows = T.tensor_sum(T.Tensor(swapped) * logp, axis=-1)
+    per_view = T.mean(T.reshape(rows, (2, b)), axis=-1)
+    return T.tensor_sum(T.neg(per_view)) * 0.5
 
 
 def koleo_loss(z: T.Tensor, eps: float = 1e-8) -> T.Tensor:
@@ -187,16 +182,18 @@ def koleo_loss(z: T.Tensor, eps: float = 1e-8) -> T.Tensor:
     return T.neg(T.mean(T.log(dist + eps)))
 
 
-def total_loss(student_logits: list[T.Tensor], targets: list[np.ndarray],
-               cfg: SslConfig, student_z: list[T.Tensor] | None = None) -> T.Tensor:
+def total_loss(student_logits: T.Tensor, targets: np.ndarray, cfg: SslConfig,
+               student_z: T.Tensor | None = None) -> T.Tensor:
+    """The view-pair cross-entropy, plus the spread term of each view's
+    bottleneck rows of `student_z` [2B, bottleneck] when koleo_weight > 0."""
     loss = dino_loss(student_logits, targets, cfg.student_temp)
     if cfg.koleo_weight > 0:
-        if not student_z:
+        if student_z is None:
             raise ParameterError("koleo_weight > 0 but no student bottlenecks given")
-        reg = koleo_loss(student_z[0])
-        for z in student_z[1:]:
-            reg = reg + koleo_loss(z)
-        loss = loss + (cfg.koleo_weight / len(student_z)) * reg
+        b = student_z.shape[0] // 2
+        reg = (koleo_loss(T.narrow(student_z, 0, 0, b))
+               + koleo_loss(T.narrow(student_z, 0, b, b)))
+        loss = loss + (cfg.koleo_weight / 2) * reg
     return loss
 
 

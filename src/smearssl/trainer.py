@@ -58,8 +58,10 @@ class TrainConfig:
             raise ParameterError(f"iterations must lie in [0, {MAX_ITERATIONS}]")
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
-        if self.base_lr <= 0 or self.final_lr < 0:
-            raise ParameterError("base_lr must be > 0 and final_lr >= 0")
+        if not (0 < self.base_lr < math.inf and 0 <= self.final_lr < math.inf):
+            raise ParameterError("base_lr must be finite and > 0, final_lr finite and >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError("weight_decay must be finite and >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ParameterError("warmup_frac must lie in [0, 1)")
         for name in ("teacher_momentum_start", "teacher_momentum_end"):
@@ -180,10 +182,9 @@ def _iteration_rng(seed: int, iteration: int, stream: int) -> np.random.Generato
 
 
 def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfig,
-                 iteration: int) -> list[np.ndarray]:
-    """Draw batch_size images and crop each twice: a list of two
-    [B, S, S, 3] float32 arrays, the first and the second global view of
-    every image."""
+                 iteration: int) -> np.ndarray:
+    """Draw batch_size images and crop each twice: one [2B, S, S, 3] float32
+    array, the first global view of every image, then the second."""
     if not images:
         raise InputError("empty training set")
     brng = _iteration_rng(train_cfg.seed, iteration, _STREAM_BATCH)
@@ -192,7 +193,7 @@ def sample_batch(images: list[np.ndarray], crop: CropSpec, train_cfg: TrainConfi
     idx = brng.choice(n, size=train_cfg.batch_size, replace=replace)
     arng = _iteration_rng(train_cfg.seed, iteration, _STREAM_AUG)
     per_image = [multicrop(images[int(i)], crop, arng) for i in idx]
-    return [np.stack(views) for views in zip(*per_image)]
+    return np.stack([crops[v] for v in range(2) for crops in per_image])
 
 
 def _adamw_step(state: TrainState, lr: float) -> None:
@@ -232,41 +233,28 @@ def _adamw_step(state: TrainState, lr: float) -> None:
             pb -= update
 
 
-def teacher_targets(state: TrainState, stacked: np.ndarray) -> list[np.ndarray]:
-    """The teacher pass, values only, no tape: per-view targets for two views
-    stacked to [2B, ...]. Under ema centering it updates the center once."""
-    b = stacked.shape[0] // 2
+def teacher_targets(state: TrainState, views: np.ndarray) -> np.ndarray:
+    """The teacher pass, values only, no tape: targets [2B, K] for the two
+    views [2B, ...]. Under ema centering it updates the center once."""
     teacher_logits = head_forward(state.teacher_head,
-                                  state.teacher_enc.forward(stacked))[0].data
-    return teacher_targets_multiview([teacher_logits[:b], teacher_logits[b:]],
-                                     state.ssl_cfg, state.centering)
+                                  state.teacher_enc.forward(views))[0].data
+    return teacher_targets_multiview(teacher_logits, state.ssl_cfg, state.centering)
 
 
-def train_step(state: TrainState, views: list[np.ndarray]) -> float:
-    """One optimization step on the two global views of a batch. Each tower
-    runs once on both views stacked to [2B, ...]; its output rows are then
-    split per view, so Sinkhorn balances each view's batch on its own and
-    each student view learns against the other view's teacher targets."""
-    if len(views) != 2 or views[0].shape != views[1].shape:
-        raise ParameterError(
-            f"train_step needs exactly two views of one shape, got "
-            f"{[v.shape for v in views]}")
-    b = views[0].shape[0]
-    if b < 2:
-        raise ParameterError("batch_size must be >= 2 for batch-level terms")
+def train_step(state: TrainState, views: np.ndarray) -> float:
+    """One optimization step on the two global views of a batch, [2B, ...]
+    as `sample_batch` lays them out. Each tower runs once on all 2B rows;
+    Sinkhorn balances each view's half on its own, and each student view
+    learns against the other view's teacher targets."""
+    if views.shape[0] % 2 or views.shape[0] < 4:
+        raise ParameterError(f"train_step needs two views of a batch of >= 2 "
+                             f"images, [2B, ...], got {views.shape[0]} rows")
     sched = schedule(state.iteration, state.train_cfg)
-    stacked = np.concatenate(views, axis=0)
-    targets = teacher_targets(state, stacked)
-
-    def per_view(t: T.Tensor) -> list[T.Tensor]:
-        return [T.narrow(t, 0, 0, b), T.narrow(t, 0, b, b)]
+    targets = teacher_targets(state, views)
 
     with T.Tape() as tape:
-        logits, z = head_forward(state.student_head,
-                                 state.student_enc.forward(stacked))
-        # only the KoLeo term reads the bottleneck
-        zs = per_view(z) if state.ssl_cfg.koleo_weight > 0 else None
-        loss = total_loss(per_view(logits), targets, state.ssl_cfg, zs)
+        logits, z = head_forward(state.student_head, state.student_enc.forward(views))
+        loss = total_loss(logits, targets, state.ssl_cfg, z)
         loss.check_finite("total loss")
         tape.backward(loss)
 

@@ -7,6 +7,7 @@ tokens stay reachable for the PCA feature-map path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class VitConfig:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
+        if not (math.isfinite(self.mlp_ratio) and self.mlp_hidden >= 1):
+            raise ParameterError("mlp_ratio must be finite and give mlp_hidden >= 1")
 
     @property
     def grid(self) -> int:
@@ -123,11 +126,8 @@ class VitEncoder:
 
     LN_EPS = 1e-6
 
-    def __init__(self, cfg: VitConfig, seed: int = 0, params: dict[str, T.Tensor] | None = None,
-                 dtype=np.float32):
+    def __init__(self, cfg: VitConfig, params: dict[str, T.Tensor]):
         self.cfg = cfg
-        if params is None:
-            params = init_vit_params(cfg, np.random.Generator(np.random.PCG64(seed)), dtype=dtype)
         self.params = params
 
     def _tokens(self, images: np.ndarray) -> T.Tensor:

@@ -18,7 +18,7 @@ from smearssl.checkpoint import MAGIC, VERSION, _encode_config
 from smearssl.errors import InputError
 from smearssl.synthetic import (_BG_BASE, _CELL_BASE, _ECC_BANDS, _PIGMENT,
                                 _RING_COLOR, CLASS_NAMES)
-from smearssl.vit import VitConfig, VitEncoder
+from smearssl.vit import VitConfig, VitEncoder, init_vit_params
 
 
 def finite_diff_grad(fn, tensors: list[T.Tensor], h: float = 1e-5,
@@ -303,6 +303,23 @@ def reference_softmax(a: T.Tensor) -> T.Tensor:
     return T._maybe_record(out, (a,), backward)
 
 
+def reference_dino_loss(student_logits: list[T.Tensor], targets: list[np.ndarray],
+                        student_temp: float) -> T.Tensor:
+    """The view-pair cross-entropy in its per-view list form: one [B, K]
+    tensor and one target array per view, each view's mean taken on its
+    own. ``objective.dino_loss`` on the stacked [2B, K] rows must match it
+    bit for bit, forward and backward."""
+    inv_temp = 1.0 / student_temp
+
+    def ce(tgt: np.ndarray, slog: T.Tensor) -> T.Tensor:
+        logp = T.log_softmax(slog * inv_temp, axis=-1)
+        p = T.Tensor(tgt.astype(slog.dtype, copy=False))
+        return T.neg(T.mean(T.tensor_sum(p * logp, axis=-1)))
+
+    return (ce(targets[0], student_logits[1])
+            + ce(targets[1], student_logits[0])) * 0.5
+
+
 def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
                         proj_w: T.Tensor, proj_b: T.Tensor, heads: int) -> T.Tensor:
     """Multi-head self-attention over [B, T, D] tokens, composed from the
@@ -391,6 +408,12 @@ def vit_param_count(cfg: VitConfig) -> int:
         + d * h + h + h * d + d  # mlp
     )
     return stem + pos + cls + cfg.depth * block + 2 * d
+
+
+def seeded_encoder(cfg: VitConfig, seed: int = 0, dtype=np.float32) -> VitEncoder:
+    """A fresh encoder whose parameters `init_vit_params` draws from PCG64(seed)."""
+    return VitEncoder(cfg, init_vit_params(cfg, np.random.Generator(np.random.PCG64(seed)),
+                                           dtype=dtype))
 
 
 def encoder_param_count(enc: VitEncoder) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from oracles import (dense_pca, finite_diff_grad, grad_check, naive_knn,
-                     naive_metrics, patch_count_formula)
+                     naive_metrics, patch_count_formula, seeded_encoder)
 
 from smearssl import ablation
 from smearssl import tensor as T
@@ -36,7 +36,7 @@ from smearssl.protocols import kfold, kfold_assignments, leave_one_source_out
 from smearssl.synthetic import SynthConfig, gen_synthetic
 from smearssl.trainer import (TrainConfig, init_train_state, load_train_state,
                               save_train_state)
-from smearssl.vit import VitConfig, VitEncoder
+from smearssl.vit import VitConfig
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:
@@ -246,17 +246,14 @@ def _composite_case(seed: int) -> float:
     params = {k: T.Tensor(v.data.astype(np.float64), requires_grad=True)
               for k, v in init_head_params(cfg, 8, rng).items()}
     emb = [rng.normal(size=(3, 8)), rng.normal(size=(3, 8))]
-    frozen_logits = [head_forward(params, T.Tensor(e))[0].data for e in emb]
-    targets = [sinkhorn_targets(lg, cfg.teacher_temp, cfg.sinkhorn_iters)
-               for lg in frozen_logits]
+    targets = np.concatenate([
+        sinkhorn_targets(head_forward(params, T.Tensor(e))[0].data,
+                         cfg.teacher_temp, cfg.sinkhorn_iters) for e in emb])
 
     def fn(_):
-        logits, zs = [], []
-        for e in emb:
-            lg, z = head_forward(params, T.Tensor(e))
-            logits.append(lg)
-            zs.append(z)
-        return total_loss(logits, targets, cfg, student_z=zs)
+        # one head pass per view, stacked to the [2B, ...] rows total_loss takes
+        logits, zs = zip(*(head_forward(params, T.Tensor(e)) for e in emb))
+        return total_loss(T.concat(logits), targets, cfg, student_z=T.concat(zs))
 
     subset = [params["fc1.weight"], params["fc2.weight"], params["fc3.weight"],
               params["prototypes"], params["fc1.bias"]]
@@ -392,14 +389,11 @@ def test_criterion_04_koleo_behavior():
         for p in params.values():
             p.grad = None
         with T.Tape() as tape:
-            logits, zs = [], []
-            for e in emb:
-                lg, zb = head_forward(params, T.Tensor(e))
-                logits.append(lg)
-                zs.append(zb)
-            targets = [sinkhorn_targets(lg.data, cfg.teacher_temp,
-                                        cfg.sinkhorn_iters) for lg in logits]
-            tape.backward(total_loss(logits, targets, cfg, student_z=zs))
+            logits, zs = zip(*(head_forward(params, T.Tensor(e)) for e in emb))
+            targets = np.concatenate([sinkhorn_targets(
+                lg.data, cfg.teacher_temp, cfg.sinkhorn_iters) for lg in logits])
+            tape.backward(total_loss(T.concat(logits), targets, cfg,
+                                     student_z=T.concat(zs)))
         grads[tag] = {k: (p.grad.copy() if p.grad is not None else None)
                       for k, p in params.items()}
     grad_delta = max(
@@ -602,7 +596,7 @@ def test_criterion_09_format_roundtrips(tmp_path):
 def test_criterion_10_pca_map():
     samples = gen_synthetic(SynthConfig(n_images=32, sources=2, classes=4,
                                         seed=0, cells_min=4, cells_max=6))
-    encoder = VitEncoder(VitConfig(), seed=0)
+    encoder = seeded_encoder(VitConfig())
 
     ortho_worst, solver_worst = 0.0, 0.0
     for s in samples[:6]:

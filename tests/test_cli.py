@@ -21,7 +21,7 @@ from smearssl.data import load_manifest
 from smearssl.embeddings import EmbeddingSet, read_embeddings, write_embeddings
 from smearssl.errors import InputError, NumericError
 from smearssl.netpbm import read_ppm
-from smearssl.probes import knn
+from smearssl.probes import knn, linear_probe
 from smearssl.protocols import (EvalReport, SplitRecord, kfold,
                                 leave_one_source_out, write_report_csv)
 from smearssl.trainer import init_train_state, load_encoder
@@ -195,7 +195,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise NumericError("loss is not finite")
 
-        monkeypatch.setattr("smearssl.cli.knn", explode)
+        monkeypatch.setattr("smearssl.cli.run_classifier", explode)
         rc, _, err = run_cli(["eval-knn", "--train-emb", tr, "--test-emb", te],
                              capsys)
         assert rc == 2
@@ -254,6 +254,22 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: ") and "blur_sigma" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("ssl.koleo_weight", "nan"), ("ssl.teacher_temp", "nan"),
+        ("ssl.student_temp", "inf"), ("train.weight_decay", "nan"),
+        ("train.weight_decay", "-0.1"), ("train.base_lr", "nan"),
+        ("train.final_lr", "inf"), ("vit.mlp_ratio", "0.01"),
+        ("vit.mlp_ratio", "nan")])
+    def test_bad_training_value_is_validation_error(self, dataset, tmp_path,
+                                                    capsys, key, value):
+        rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
+                              "--out", str(tmp_path / "o"),
+                              "--set", f"{key}={value}"], capsys)
+        assert rc == 1
+        assert err.startswith("error: ") and key.split(".")[1] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "state.rdck").exists()
 
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):
@@ -523,6 +539,32 @@ class TestAdapterTransparency:
         assert lines[0] == "protocol,train,test,n_train,n_test,acc,bacc,wf1"
         acc = float(lines[1].split(",")[5])
         assert acc == 1.0  # classes are linearly separable by construction
+
+    @pytest.mark.parametrize("command, kind, other", [
+        ("eval-knn", "knn", "linear"), ("eval-linear", "linear", "knn")])
+    def test_eval_pair_runs_its_own_kind(self, emb_files, tmp_path, capsys,
+                                         command, kind, other):
+        # the subcommand names the classifier; --set eval.classifier cannot
+        # swap it, and each kind runs with the config's defaults
+        tr_path, te_path = emb_files
+        report_path = str(tmp_path / "cli.csv")
+        rc, _, _ = run_cli([command, "--train-emb", tr_path, "--test-emb", te_path,
+                            "--set", f"eval.classifier={other}",
+                            "--report", report_path], capsys)
+        assert rc == 0
+        tr, te = read_embeddings(tr_path), read_embeddings(te_path)
+        if kind == "knn":
+            result = knn(tr, te, k=20, metric="cosine")
+        else:
+            result = linear_probe(tr, te, reg_lambda=1e-4, max_epochs=500, tol=1e-6)
+        expected = EvalReport(protocol=kind)
+        expected.records.append(SplitRecord(
+            train_tag=tr_path, test_tag=te_path,
+            n_train=len(tr), n_test=len(te), metrics=result.metrics))
+        expected_path = str(tmp_path / "direct.csv")
+        write_report_csv(expected_path, expected)
+        with open(report_path) as fh, open(expected_path) as want:
+            assert fh.read() == want.read()
 
     def test_eval_linear_zero_epochs_refused(self, emb_files, tmp_path, capsys):
         tr_path, te_path = emb_files

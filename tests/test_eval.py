@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_pca, naive_knn, naive_metrics, reference_linear_probe
+from oracles import (dense_pca, naive_knn, naive_metrics, reference_linear_probe,
+                     seeded_encoder)
 from smearssl import probes
 from smearssl import tensor as T
 from smearssl.data import load_images, load_manifest
@@ -45,7 +46,7 @@ from smearssl.objective import SslConfig
 from smearssl.synthetic import SynthConfig, gen_synthetic, write_dataset
 from smearssl.trainer import (TrainConfig, export_teacher, init_train_state,
                               load_encoder)
-from smearssl.vit import VitConfig, VitEncoder
+from smearssl.vit import VitConfig
 
 
 def emb_set(vectors, labels, sources=None, ids=None):
@@ -770,7 +771,7 @@ class TestPca:
             top_components(rng.normal(size=(1, 5)), 3)
 
     def test_map_shape_and_range(self, rng):
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         img = rng.integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
         rgb, comps, variances = pca_map(enc, img)
         assert rgb.shape == (64, 64, 3)
@@ -781,7 +782,7 @@ class TestPca:
         assert comps.shape[0] == 3 and variances.shape == (3,)
 
     def test_map_deterministic(self, rng):
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         img = rng.integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
         a, _, _ = pca_map(enc, img)
         b, _, _ = pca_map(enc, img)
@@ -789,15 +790,15 @@ class TestPca:
 
     def test_map_patch_grid_blocks(self, rng):
         # output is piecewise constant over patch_size x patch_size blocks
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         img = rng.integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
         rgb, _, _ = pca_map(enc, img)
         block = rgb[:8, :8]
         assert np.all(block == block[0, 0])
 
     def test_too_few_tokens_rejected(self, rng):
-        enc = VitEncoder(VitConfig(image_size=8, patch_size=8, embed_dim=8,
-                                   depth=1, heads=2), seed=0)
+        enc = seeded_encoder(VitConfig(image_size=8, patch_size=8, embed_dim=8,
+                                       depth=1, heads=2))
         img = rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)
         with pytest.raises(ProtocolError):
             pca_map(enc, img)

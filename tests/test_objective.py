@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smearssl.tensor as T
-from oracles import finite_diff_grad, naive_sinkhorn, rel_err
+from oracles import finite_diff_grad, naive_sinkhorn, reference_dino_loss, rel_err
 from smearssl.errors import ParameterError
 from smearssl.objective import (
     CenteringState,
@@ -105,20 +105,44 @@ class TestEmaCentering:
         cfg = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=4,
                         centering="ema")
         state = CenteringState.fresh(4)
-        views = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
-        out = teacher_targets_multiview(views, cfg, state)
-        assert len(out) == 2
-        expected = (1 - cfg.center_momentum) * np.concatenate(views).mean(axis=0)
+        logits = rng.normal(size=(6, 4))
+        out = teacher_targets_multiview(logits, cfg, state)
+        assert out.shape == (6, 4)
+        expected = (1 - cfg.center_momentum) * logits.mean(axis=0)
         np.testing.assert_array_equal(state.center, expected.astype(np.float32))
         # both views were produced with the pre-update (zero) center
         np.testing.assert_allclose(
-            out[0], ema_targets(views[0], np.zeros(4), cfg.teacher_temp))
+            out[:3], ema_targets(logits[:3], np.zeros(4), cfg.teacher_temp))
 
-    def test_multiview_requires_state(self):
-        cfg = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=4,
-                        centering="ema")
-        with pytest.raises(ParameterError):
-            teacher_targets_multiview([np.zeros((2, 4))], cfg, None)
+    def test_sinkhorn_balances_each_view_on_its_own(self, rng):
+        logits = rng.normal(size=(6, 4))
+        out = teacher_targets_multiview(logits, SMALL, CenteringState.fresh(4))
+        for half in (slice(0, 3), slice(3, 6)):
+            np.testing.assert_array_equal(
+                out[half], sinkhorn_targets(logits[half], SMALL.teacher_temp,
+                                            SMALL.sinkhorn_iters))
+
+
+def _per_view(t: T.Tensor, b: int) -> list[T.Tensor]:
+    return [T.narrow(t, 0, 0, b), T.narrow(t, 0, b, b)]
+
+
+def _loss_and_grads(fn, logits: np.ndarray, z: np.ndarray):
+    """fn(logits, z) on fresh leaves; the loss and both gradients."""
+    lg = T.Tensor(logits.copy(), requires_grad=True)
+    zt = T.Tensor(z.copy(), requires_grad=True)
+    with T.Tape() as tape:
+        loss = fn(lg, zt)
+        tape.backward(loss)
+    return loss.data, lg.grad, zt.grad
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestDinoLoss:
@@ -126,22 +150,22 @@ class TestDinoLoss:
         b, k = 3, 4
         onehot = np.zeros((b, k))
         onehot[np.arange(b), [0, 2, 1]] = 1.0
-        logits = [T.Tensor(np.zeros((b, k))), T.Tensor(np.zeros((b, k)))]
-        loss = dino_loss(logits, [onehot, onehot], student_temp=0.1)
+        logits = T.Tensor(np.zeros((2 * b, k)))
+        loss = dino_loss(logits, np.concatenate([onehot, onehot]), student_temp=0.1)
         np.testing.assert_allclose(loss.item(), np.log(4.0), atol=1e-9)
 
     def test_matched_distributions_give_entropy(self):
-        p = np.array([[0.2, 0.3, 0.5]])
+        p = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
         temp = 0.1
-        logits = T.Tensor(temp * np.log(p))
-        loss = dino_loss([logits, logits], [p, p], student_temp=temp)
-        entropy = -(p * np.log(p)).sum()
+        loss = dino_loss(T.Tensor(temp * np.log(p)), p, student_temp=temp)
+        entropy = -(p[0] * np.log(p[0])).sum()
         np.testing.assert_allclose(loss.item(), entropy, atol=1e-9)
 
     def test_two_views_average_two_ordered_pairs(self, rng):
         b, k = 2, 5
-        s = [T.Tensor(rng.normal(size=(b, k))), T.Tensor(rng.normal(size=(b, k)))]
-        t = [sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3) for _ in range(2)]
+        s = T.Tensor(rng.normal(size=(2 * b, k)))
+        t = np.concatenate([sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3)
+                            for _ in range(2)])
         loss = dino_loss(s, t, student_temp=0.2)
 
         def ce(tgt, slog):
@@ -149,35 +173,41 @@ class TestDinoLoss:
                         / np.exp(slog / 0.2).sum(axis=1, keepdims=True))
             return float(-(tgt * lp).sum(axis=1).mean())
 
-        want = 0.5 * (ce(t[0], s[1].data) + ce(t[1], s[0].data))
+        want = 0.5 * (ce(t[:b], s.data[b:]) + ce(t[b:], s.data[:b]))
         np.testing.assert_allclose(loss.item(), want, atol=1e-8)
 
-    def test_single_view_rejected(self):
-        with pytest.raises(ParameterError):
-            dino_loss([T.Tensor(np.zeros((2, 3)))], [np.zeros((2, 3))], 0.1)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_view_reference_bitwise(self, rng, dtype):
+        b, k = 5, 7
+        logits = (rng.normal(size=(2 * b, k)) * 3).astype(dtype)
+        t = np.concatenate([sinkhorn_targets(rng.normal(size=(b, k)), 0.5, 3)
+                            for _ in range(2)])
+        z = np.zeros((2 * b, 1), dtype=dtype)
+        got = _loss_and_grads(lambda lg, _: dino_loss(lg, t, 0.1), logits, z)
+        want = _loss_and_grads(lambda lg, _: reference_dino_loss(
+            _per_view(lg, b), [t[:b], t[b:]], 0.1), logits, z)
+        assert got[0].dtype == dtype
+        _assert_same_bits(got, want)
 
     def test_nonnegative(self, rng):
         for _ in range(10):
-            s = [T.Tensor(rng.normal(size=(3, 6)) * 3) for _ in range(2)]
-            t = [sinkhorn_targets(rng.normal(size=(3, 6)), 0.5, 3)
-                 for _ in range(2)]
+            s = T.Tensor(rng.normal(size=(6, 6)) * 3)
+            t = np.concatenate([sinkhorn_targets(rng.normal(size=(3, 6)), 0.5, 3)
+                                for _ in range(2)])
             assert dino_loss(s, t, 0.1).item() >= 0.0
 
     def test_gradient_against_finite_differences(self, rng):
         b, k = 3, 4
-        t = [sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3) for _ in range(2)]
-        s = [T.Tensor(rng.normal(size=(b, k)), requires_grad=True)
-             for _ in range(2)]
+        t = np.concatenate([sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3)
+                            for _ in range(2)])
+        s = T.Tensor(rng.normal(size=(2 * b, k)), requires_grad=True)
 
         def fn(ts):
-            return dino_loss(list(ts), t, student_temp=0.3)
+            return dino_loss(ts[0], t, student_temp=0.3)
 
         with T.Tape() as tape:
-            tape.backward(fn(s))
-        analytic = [x.grad.copy() for x in s]
-        numeric = finite_diff_grad(fn, s)
-        for a, n in zip(analytic, numeric):
-            assert rel_err(a, n) < 1e-6
+            tape.backward(fn([s]))
+        assert rel_err(s.grad, finite_diff_grad(fn, [s])[0]) < 1e-6
 
 
 class TestKoleo:
@@ -229,11 +259,10 @@ class TestKoleo:
 
 class TestTotalLoss:
     def _setup(self, rng, b=4, k=6):
-        t = [sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3) for _ in range(2)]
-        s = [T.Tensor(rng.normal(size=(b, k)), requires_grad=True)
-             for _ in range(2)]
-        z = [T.Tensor(rng.normal(size=(b, 5)), requires_grad=True)
-             for _ in range(2)]
+        t = np.concatenate([sinkhorn_targets(rng.normal(size=(b, k)), 1.0, 3)
+                            for _ in range(2)])
+        s = T.Tensor(rng.normal(size=(2 * b, k)), requires_grad=True)
+        z = T.Tensor(rng.normal(size=(2 * b, 5)), requires_grad=True)
         return s, t, z
 
     def test_disabled_koleo_equals_dino_exactly(self, rng):
@@ -254,15 +283,41 @@ class TestTotalLoss:
 
         with T.Tape() as tape:
             tape.backward(dino_loss(s, t, cfg.student_temp))
-        g_plain = [x.grad.copy() for x in s]
-        for x in s:
-            x.grad = None
+        g_plain = s.grad.copy()
+        s.grad = None
 
         with T.Tape() as tape:
             tape.backward(total_loss(s, t, cfg, student_z=z))
-        for a, x in zip(g_plain, s):
-            np.testing.assert_array_equal(a, x.grad)
-        assert all(x.grad is None for x in z)
+        np.testing.assert_array_equal(g_plain, s.grad)
+        assert z.grad is None
+
+    @pytest.mark.parametrize("koleo_weight", [0.0, 0.1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_view_reference_bitwise(self, rng, dtype, koleo_weight):
+        # the per-view form: each view's logits and bottleneck narrowed out
+        # of the stacked rows, the reference cross-entropy, and the spread
+        # term of each view averaged over the two
+        b, k = 5, 6
+        cfg = SslConfig(head_hidden=8, bottleneck=4, num_prototypes=k,
+                        koleo_weight=koleo_weight)
+        logits = (rng.normal(size=(2 * b, k)) * 3).astype(dtype)
+        z = rng.normal(size=(2 * b, 4)).astype(dtype)
+        t = np.concatenate([sinkhorn_targets(rng.normal(size=(b, k)), 0.5, 3)
+                            for _ in range(2)])
+
+        def reference(lg, zt):
+            loss = reference_dino_loss(_per_view(lg, b), [t[:b], t[b:]],
+                                       cfg.student_temp)
+            if koleo_weight > 0:
+                zs = _per_view(zt, b)
+                reg = koleo_loss(zs[0]) + koleo_loss(zs[1])
+                loss = loss + (koleo_weight / 2) * reg
+            return loss
+
+        got = _loss_and_grads(lambda lg, zt: total_loss(lg, t, cfg, zt), logits, z)
+        want = _loss_and_grads(reference, logits, z)
+        assert got[0].dtype == dtype and (got[2] is None) == (koleo_weight == 0)
+        _assert_same_bits(got, want)
 
     def test_enabled_koleo_changes_value(self, rng):
         s, t, z = self._setup(rng)
@@ -286,20 +341,15 @@ class TestTotalLoss:
                         koleo_weight=0.1)
         params = {k: T.Tensor(v.data.astype(np.float64), requires_grad=True)
                   for k, v in init_head_params(cfg, 8, rng).items()}
-        emb = [rng.normal(size=(3, 8)), rng.normal(size=(3, 8))]
+        emb = rng.normal(size=(6, 8))
         with np.errstate(all="ignore"):
-            frozen_logits = [head_forward(params, T.Tensor(e))[0].data
-                             for e in emb]
-        targets = [sinkhorn_targets(lg, cfg.teacher_temp, cfg.sinkhorn_iters)
-                   for lg in frozen_logits]
+            frozen_logits = head_forward(params, T.Tensor(emb))[0].data
+        targets = teacher_targets_multiview(frozen_logits, cfg,
+                                            CenteringState.fresh(6))
 
         def fn(ts):
-            logits, zs = [], []
-            for e in emb:
-                lg, z = head_forward(params, T.Tensor(e))
-                logits.append(lg)
-                zs.append(z)
-            return total_loss(logits, targets, cfg, student_z=zs)
+            logits, z = head_forward(params, T.Tensor(emb))
+            return total_loss(logits, targets, cfg, student_z=z)
 
         subset = [params["fc1.weight"], params["fc2.weight"],
                   params["fc3.weight"], params["prototypes"],
@@ -354,6 +404,15 @@ class TestConfigValidation:
     def test_negative_koleo_weight(self):
         with pytest.raises(ParameterError, match="koleo_weight"):
             SslConfig(koleo_weight=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("koleo_weight", float("nan")), ("koleo_weight", float("inf")),
+        ("teacher_temp", float("nan")), ("student_temp", float("inf")),
+        ("student_temp", float("nan")), ("teacher_temp", float("inf"))])
+    def test_non_finite_values_rejected(self, field, value):
+        # each of these used to be accepted: a nan weight turned KoLeo off
+        with pytest.raises(ParameterError, match=field):
+            SslConfig(**{field: value})
 
     def test_entropy_extremes(self):
         k = 16

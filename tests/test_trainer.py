@@ -10,12 +10,12 @@ import pytest
 
 import smearssl.tensor as T
 import smearssl.trainer as trainer_mod
-from smearssl.augment import CropSpec
+from smearssl.augment import CropSpec, multicrop
 from oracles import reference_write_checkpoint
 from smearssl.checkpoint import (_decode_config, _encode_config, read_checkpoint,
                                  write_checkpoint)
 from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
-from smearssl.objective import (SslConfig, head_forward,
+from smearssl.objective import (CenteringState, SslConfig, head_forward,
                                 teacher_targets_multiview, total_loss)
 from smearssl.trainer import (
     TrainConfig,
@@ -272,22 +272,34 @@ class TestSampleBatch:
         cfg = tiny_train_cfg()
         a = sample_batch(imgs, TINY_CROP, cfg, 4)
         b = sample_batch(imgs, TINY_CROP, cfg, 4)
-        assert len(a) == 2
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        assert a.shape[0] == 2 * cfg.batch_size
+        np.testing.assert_array_equal(a, b)
 
     def test_iterations_differ(self):
         imgs = noise_images()
         cfg = tiny_train_cfg()
         a = sample_batch(imgs, TINY_CROP, cfg, 0)
         b = sample_batch(imgs, TINY_CROP, cfg, 1)
-        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a, b)
 
     def test_view_shapes(self):
         views = sample_batch(noise_images(), TINY_CROP, tiny_train_cfg(), 0)
-        for v in views:
-            assert v.shape == (2, 16, 16, 3)
-            assert v.dtype == np.float32
+        assert views.shape == (4, 16, 16, 3)
+        assert views.dtype == np.float32 and views.flags.c_contiguous
+
+    def test_halves_are_the_per_view_stacks(self):
+        # rows [:B] are every image's first view, rows [B:] its second, drawn
+        # from the iteration's batch and augmentation streams
+        imgs = noise_images()
+        cfg = tiny_train_cfg(batch_size=3)
+        views = sample_batch(imgs, TINY_CROP, cfg, 2)
+        idx = trainer_mod._iteration_rng(cfg.seed, 2, trainer_mod._STREAM_BATCH).choice(
+            len(imgs), size=3, replace=False)
+        arng = trainer_mod._iteration_rng(cfg.seed, 2, trainer_mod._STREAM_AUG)
+        crops = [multicrop(imgs[int(i)], TINY_CROP, arng) for i in idx]
+        np.testing.assert_array_equal(views[:3], np.stack([c[0] for c in crops]))
+        np.testing.assert_array_equal(views[3:], np.stack([c[1] for c in crops]))
+        assert not np.array_equal(views[:3], views[3:])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
@@ -314,7 +326,7 @@ class TestTrainStep:
                              teacher_momentum_end=1.0)
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
         before = {k: p.data.copy() for k, p in state.teacher_params().items()}
-        probe = sample_batch(imgs, TINY_CROP, cfg, 0)[0]
+        probe = sample_batch(imgs, TINY_CROP, cfg, 0)
         out_before = state.teacher_enc.forward(probe).data.copy()
         for it in range(3):
             train_step(state, sample_batch(imgs, TINY_CROP, cfg, it))
@@ -347,15 +359,17 @@ class TestTrainStep:
                         koleo_weight=0.1)
         state = init_train_state(TINY_VIT, ssl, cfg)
         views = sample_batch(imgs, TINY_CROP, cfg, 0)
+        b = cfg.batch_size
         # one forward per view and tower, as two separate batches
-        teacher_logits = [
+        per_view = [views[:b], views[b:]]
+        teacher_logits = np.concatenate([
             head_forward(state.teacher_head, state.teacher_enc.forward(v))[0].data
-            for v in views]
-        targets = teacher_targets_multiview(teacher_logits, ssl)
-        student = [head_forward(state.student_head, state.student_enc.forward(v))
-                   for v in views]
-        want = total_loss([lg for lg, _ in student], targets, ssl,
-                          [z for _, z in student]).item()
+            for v in per_view])
+        targets = teacher_targets_multiview(teacher_logits, ssl,
+                                            CenteringState.fresh(8))
+        logits, z = zip(*(head_forward(state.student_head, state.student_enc.forward(v))
+                          for v in per_view))
+        want = total_loss(T.concat(logits), targets, ssl, T.concat(z)).item()
         got = train_step(state, views)
         assert abs(got - want) < 1e-6
         for k, p in state.teacher_params().items():
@@ -365,7 +379,9 @@ class TestTrainStep:
         # pins the fused ops, so a split back into generic primitives shows:
         # at the tiny configs the encoder's stem and tail take 9 records,
         # each block 10 (2 layernorms, 4 linear, attention, gelu, 2 residual
-        # adds), the head 8, the per-view split of the logits 2 and the loss 14
+        # adds), the head 8 and the loss 9 (scale, log_softmax, product, row
+        # sum, reshape to [2, B], per-view mean, neg, sum, halving); nothing
+        # splits the [2B, K] logits per view
         counts = []
         backward = T.Tape.backward
 
@@ -377,7 +393,7 @@ class TestTrainStep:
         cfg = tiny_train_cfg()
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
         train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
-        assert counts == [43]
+        assert counts == [36]
 
     def test_each_tower_runs_once(self, monkeypatch):
         calls = {"encoder": 0, "head": 0}
@@ -398,17 +414,22 @@ class TestTrainStep:
         train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
         assert calls == {"encoder": 2, "head": 2}
 
-    def test_view_count_and_shapes_checked(self):
+    def test_odd_or_short_batch_refused(self):
         cfg = tiny_train_cfg()
-        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        state = init_train_state(
+            TINY_VIT, dataclasses.replace(TINY_SSL, centering="ema"), cfg)
+        before = [p.data.copy() for p in (*state.student_params().values(),
+                                          *state.teacher_params().values())]
         views = sample_batch(noise_images(), TINY_CROP, cfg, 0)
-        with pytest.raises(ParameterError):
-            train_step(state, views + [views[0]])
-        with pytest.raises(ParameterError):
-            train_step(state, [views[0], views[1][:, :8, :8]])
-        with pytest.raises(ParameterError):
-            train_step(state, [views[0], np.concatenate(views)])
+        for bad in (views[:3], views[:2], np.concatenate([views, views[:1]])):
+            with pytest.raises(ParameterError, match="rows"):
+                train_step(state, bad)
         assert state.iteration == 0 and state.loss_history == []
+        after = [p.data for p in (*state.student_params().values(),
+                                  *state.teacher_params().values())]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert not any(m.any() for m in state.moments_m.values())
+        assert not state.centering.center.any()
 
     def test_teacher_never_accumulates_grads(self):
         imgs = noise_images()
@@ -535,7 +556,7 @@ class TestPersistence:
         path = str(tmp_path / "enc.rdck")
         export_teacher(path, state)
         enc = load_encoder(path)
-        probe = sample_batch(imgs, TINY_CROP, cfg, 9)[0]
+        probe = sample_batch(imgs, TINY_CROP, cfg, 9)
         np.testing.assert_array_equal(enc.forward(probe).data,
                                       state.teacher_enc.forward(probe).data)
 
@@ -722,3 +743,13 @@ class TestTrainConfigValidation:
     def test_momentum_above_one(self):
         with pytest.raises(ParameterError):
             TrainConfig(teacher_momentum_end=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight_decay", float("nan")), ("weight_decay", -0.1),
+        ("weight_decay", float("inf")), ("base_lr", float("nan")),
+        ("base_lr", float("inf")), ("final_lr", float("inf")),
+        ("final_lr", float("nan"))])
+    def test_non_finite_or_negative_rates_rejected(self, field, value):
+        # each of these used to be accepted: nan decay silently turned decay off
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(**{field: value})

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import smearssl.tensor as T
-from oracles import encoder_param_count, reference_size_configs, vit_param_count
+from oracles import (encoder_param_count, reference_size_configs, seeded_encoder,
+                     vit_param_count)
+from smearssl.errors import ParameterError
 from smearssl.vit import (
     VitConfig,
-    VitEncoder,
     images_to_patches,
     init_vit_params,
     truncated_normal,
@@ -26,7 +27,7 @@ class TestParameterCounts:
         assert vit_param_count(VitConfig()) == DESK_PARAMS
 
     def test_live_encoder_matches_closed_form(self):
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         assert encoder_param_count(enc) == DESK_PARAMS
 
     @pytest.mark.parametrize("name", ["small", "base", "large"])
@@ -43,7 +44,7 @@ class TestParameterCounts:
             cfg = VitConfig(image_size=patch * int(rng.integers(2, 5)),
                             patch_size=patch, embed_dim=dim,
                             depth=int(rng.integers(1, 4)), heads=heads)
-            enc = VitEncoder(cfg, seed=1)
+            enc = seeded_encoder(cfg, 1)
             assert encoder_param_count(enc) == vit_param_count(cfg)
 
 
@@ -55,6 +56,11 @@ class TestConfigValidation:
     def test_heads_must_divide_dim(self):
         with pytest.raises(Exception):
             VitConfig(embed_dim=64, heads=5)
+
+    @pytest.mark.parametrize("ratio", [0.01, float("nan"), float("inf"), -1.0])
+    def test_mlp_ratio_must_give_a_hidden_unit(self, ratio):
+        with pytest.raises(ParameterError, match="mlp_ratio"):
+            VitConfig(mlp_ratio=ratio)
 
     def test_grid_and_patch_count(self):
         cfg = VitConfig(image_size=64, patch_size=8)
@@ -92,13 +98,13 @@ class TestPatchExtraction:
 
 class TestForward:
     def test_output_shape(self, rng):
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         imgs = rng.uniform(size=(3, 64, 64, 3)).astype(np.float32)
         out = enc.forward(imgs)
         assert out.shape == (3, 64)
 
     def test_tokens_shape(self, rng):
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
         cls_out, patches = enc.forward_tokens(imgs)
         assert cls_out.shape == (2, 64)
@@ -106,7 +112,7 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_is_cls_of_forward_tokens_bitwise(self, rng, dtype):
-        enc = VitEncoder(VitConfig(depth=1), seed=0, dtype=dtype)
+        enc = seeded_encoder(VitConfig(depth=1), 0, dtype)
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(dtype)
         out = enc.forward(imgs).data
         assert out.dtype == dtype
@@ -114,7 +120,7 @@ class TestForward:
 
     def test_forward_records_no_patch_copy(self, rng):
         # forward_tokens narrows the patch rows out; forward does not
-        enc = VitEncoder(VitConfig(depth=1), seed=0)
+        enc = seeded_encoder(VitConfig(depth=1))
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
         counts = []
         for fn in (enc.forward, enc.forward_tokens):
@@ -125,26 +131,26 @@ class TestForward:
 
     def test_same_seed_bit_identical(self, rng):
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
-        a = VitEncoder(VitConfig(), seed=7).forward(imgs).data
-        b = VitEncoder(VitConfig(), seed=7).forward(imgs).data
+        a = seeded_encoder(VitConfig(), 7).forward(imgs).data
+        b = seeded_encoder(VitConfig(), 7).forward(imgs).data
         np.testing.assert_array_equal(a, b)
 
     def test_different_seed_differs(self, rng):
         imgs = rng.uniform(size=(1, 64, 64, 3)).astype(np.float32)
-        a = VitEncoder(VitConfig(), seed=0).forward(imgs).data
-        b = VitEncoder(VitConfig(), seed=1).forward(imgs).data
+        a = seeded_encoder(VitConfig()).forward(imgs).data
+        b = seeded_encoder(VitConfig(), 1).forward(imgs).data
         assert not np.array_equal(a, b)
 
     def test_batch_rows_independent(self, rng):
         # row i of the batch only depends on image i
-        enc = VitEncoder(VitConfig(), seed=0)
+        enc = seeded_encoder(VitConfig())
         imgs = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
         both = enc.forward(imgs).data
         solo = enc.forward(imgs[1:]).data
         np.testing.assert_allclose(both[1], solo[0], atol=1e-5)
 
     def test_gradients_reach_all_parameters(self, rng):
-        enc = VitEncoder(VitConfig(depth=1), seed=0, dtype=np.float64)
+        enc = seeded_encoder(VitConfig(depth=1), 0, np.float64)
         imgs = rng.uniform(size=(1, 64, 64, 3))
         for p in enc.params.values():
             p.requires_grad = True
