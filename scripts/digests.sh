@@ -2,9 +2,11 @@
 # Prints `sha256  path` for every artifact of a small end-to-end run at one
 # seed, with BLAS pinned to one thread: a 12-image synthetic corpus, a
 # 6-iteration default `train`, a 4-iteration `train` with ema centering and
-# KoLeo 0.1, `embed`, `pca-map` of the first image, a 3-fold linear
-# `eval-kfold` and a k=3 k-NN `eval-loso`. It runs the `src/` of the
-# checkout it sits in, so two checkouts' outputs compare with one diff:
+# KoLeo 0.1, `patchify` and `extract-cells` of the first image and its mask,
+# `embed`, `pca-map` of the first image, a 3-fold linear `eval-kfold`, a k=3
+# k-NN `eval-loso`, and a k=3 `eval-knn` trained on source 0 and tested on
+# source 1. It runs the `src/` of the checkout it sits in, so two
+# checkouts' outputs compare with one diff:
 #   diff <(scripts/digests.sh 0) <(../other/scripts/digests.sh 0)
 # Usage: scripts/digests.sh SEED
 set -euo pipefail
@@ -27,13 +29,24 @@ smearssl gen-synthetic --out data --n-images 12 --sources 2 --classes 4 --seed "
 smearssl train --manifest data/manifest.csv --out run --iterations 6 --seed "$SEED"
 smearssl train --manifest data/manifest.csv --out run_ema --iterations 4 --seed "$SEED" \
     --set ssl.centering=ema --set ssl.koleo_weight=0.1
+FIRST=$(ls data/*.ppm | grep -v mask | head -1)
+smearssl patchify --image "$FIRST" --out patches --patch 32 --source-id src0 --label disc
+smearssl extract-cells --image "$FIRST" --mask "${FIRST%.ppm}_mask.pgm" --out cells \
+    --cell-size 24 --source-id src0
 mkdir emb
 smearssl embed --checkpoint run/checkpoint.rdck --manifest data/manifest.csv \
     --out emb/cells.emb1
-FIRST=$(ls data/*.ppm | grep -v mask | head -1)
+# a train/test pair split by source; manifests resolve paths from their own directory
+for src in 0 1; do
+    grep -e '^path,' -e ",src$src," data/manifest.csv > "data/src$src.csv"
+    smearssl embed --checkpoint run/checkpoint.rdck --manifest "data/src$src.csv" \
+        --out "emb/src$src.emb1"
+done
 smearssl pca-map --checkpoint run/checkpoint.rdck --image "$FIRST" --out emb/pca_map.ppm
 smearssl eval-kfold --emb emb/cells.emb1 --classifier linear --folds 3 --seed "$SEED" \
     --report emb/kfold_linear.csv
 smearssl eval-loso --emb emb/cells.emb1 --classifier knn --k 3 --report emb/loso_knn.csv
+smearssl eval-knn --train-emb emb/src0.emb1 --test-emb emb/src1.emb1 --k 3 \
+    --report emb/knn_src0_src1.csv
 
-sha256sum data/* run/* run_ema/* emb/*
+sha256sum data/* run/* run_ema/* patches/* cells/* emb/*

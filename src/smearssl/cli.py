@@ -80,39 +80,38 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _read_smear(args) -> SmearImage:
+    return SmearImage(pixels=read_ppm(args.image), source_id=args.source_id,
+                      image_id=os.path.splitext(os.path.basename(args.image))[0])
+
+
+def _write_crops(args, cfg: RunConfig, image_id: str, crops, kind: str) -> None:
+    """Writes crop i as `<image_id>_<kind[0]><i:04d>.ppm` in `args.out`, then
+    the crops' manifest and `config.resolved`."""
+    os.makedirs(args.out, exist_ok=True)
+    names = [f"{image_id}_{kind[0]}{i:04d}.ppm" for i in range(len(crops))]
+    for name, crop in zip(names, crops):
+        write_ppm(os.path.join(args.out, name), crop)
+    save_manifest(os.path.join(args.out, "manifest.csv"),
+                  [ManifestRecord(path=name, kind=kind, source_id=args.source_id,
+                                  label=args.label) for name in names])
+    write_resolved(cfg, os.path.join(args.out, "config.resolved"))
+
+
 def cmd_patchify(args) -> int:
     cfg = _build_config(args, {"patch": "data.patch_size"})
-    img = SmearImage(pixels=read_ppm(args.image), source_id=args.source_id,
-                     image_id=os.path.splitext(os.path.basename(args.image))[0])
+    img = _read_smear(args)
     patches = patchify(img, cfg.get("data.patch_size"))
-    os.makedirs(args.out, exist_ok=True)
-    records = []
-    for i, patch in enumerate(patches):
-        name = f"{img.image_id}_p{i:04d}.ppm"
-        write_ppm(os.path.join(args.out, name), patch)
-        records.append(ManifestRecord(path=name, kind="patch",
-                                      source_id=args.source_id, label=args.label))
-    save_manifest(os.path.join(args.out, "manifest.csv"), records)
-    write_resolved(cfg, os.path.join(args.out, "config.resolved"))
+    _write_crops(args, cfg, img.image_id, patches, "patch")
     log.info("wrote %d patches to %s", len(patches), args.out)
     return 0
 
 
 def cmd_extract_cells(args) -> int:
     cfg = _build_config(args, {"cell_size": "data.cell_size"})
-    img = SmearImage(pixels=read_ppm(args.image), source_id=args.source_id,
-                     image_id=os.path.splitext(os.path.basename(args.image))[0])
-    mask = read_pgm(args.mask)
-    crops, skipped = extract_cells(img, mask, cfg.get("data.cell_size"))
-    os.makedirs(args.out, exist_ok=True)
-    records = []
-    for i, crop in enumerate(crops):
-        name = f"{img.image_id}_c{i:04d}.ppm"
-        write_ppm(os.path.join(args.out, name), crop)
-        records.append(ManifestRecord(path=name, kind="cell",
-                                      source_id=args.source_id, label=args.label))
-    save_manifest(os.path.join(args.out, "manifest.csv"), records)
-    write_resolved(cfg, os.path.join(args.out, "config.resolved"))
+    img = _read_smear(args)
+    crops, skipped = extract_cells(img, read_pgm(args.mask), cfg.get("data.cell_size"))
+    _write_crops(args, cfg, img.image_id, crops, "cell")
     log.info("wrote %d cell crops (%d skipped) to %s", len(crops), skipped, args.out)
     return 0
 

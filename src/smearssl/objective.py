@@ -132,6 +132,13 @@ def ema_targets(logits: np.ndarray, center: np.ndarray, temp: float) -> np.ndarr
     return softmax_np(logits.astype(np.float64) - center[None, :], temp)
 
 
+def _check_view_rows(rows: int) -> None:
+    """Rows must hold two views of a batch of >= 2 images, [2B, ...]."""
+    if rows % 2 or rows < 4:
+        raise ParameterError(f"need two views of a batch of >= 2 images, "
+                             f"[2B, ...], got {rows} rows")
+
+
 def teacher_targets_multiview(logits: np.ndarray, cfg: SslConfig,
                               state: CenteringState) -> np.ndarray:
     """Targets for teacher logits [2B, K], the first view's rows then the
@@ -139,6 +146,7 @@ def teacher_targets_multiview(logits: np.ndarray, cfg: SslConfig,
     each view's half separately; the ema center is read once for all rows
     and then updated once from them, matching the one-update-per-step
     convention."""
+    _check_view_rows(logits.shape[0])
     if cfg.centering == "sinkhorn":
         return np.concatenate([sinkhorn_targets(half, cfg.teacher_temp, cfg.sinkhorn_iters)
                                for half in np.split(logits, 2)])
@@ -154,6 +162,7 @@ def dino_loss(student_logits: T.Tensor, targets: np.ndarray,
     """Cross-entropy of each student view against the other view's teacher
     targets, averaged over the two ordered pairs; logits and targets are
     [2B, K], the first view's rows then the second's."""
+    _check_view_rows(student_logits.shape[0])
     b = student_logits.shape[0] // 2
     swapped = np.roll(targets, b, axis=0).astype(student_logits.dtype, copy=False)
     logp = T.log_softmax(student_logits * (1.0 / student_temp), axis=-1)

@@ -2,9 +2,13 @@
 
 A :class:`Tensor` wraps a numpy array (float32 for training, float64 for
 gradient checks -- the dtype travels with the data). Differentiable ops
-record a backward closure on the active :class:`Tape`; ``Tape.backward``
-replays the closures in exact reverse recording order, accumulating
-gradients into every reachable tensor with ``requires_grad``.
+record their output and a backward closure on the active :class:`Tape`;
+``Tape.backward`` replays the records in exact reverse recording order,
+accumulating gradients into every reachable tensor with ``requires_grad``.
+The tape, not the closure, skips a record whose output no gradient reached;
+a closure takes that gradient and holds only its op's math. An op records
+only when an input requires a gradient, so only a closure with several
+inputs tests which of them do.
 
 Broadcasting is restricted to leading-axis expansion: two operands may mix
 shapes only when one shape is a trailing suffix of the other (a scalar
@@ -29,11 +33,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
@@ -100,13 +102,13 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[Callable[[], None]] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __len__(self):
         return len(self._records)
 
-    def record(self, backward_fn: Callable[[], None]) -> None:
-        self._records.append(backward_fn)
+    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
+        self._records.append((out, backward_fn))
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -119,8 +121,9 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         if root.grad is None:
             root.grad = np.ones_like(root.data)
-        for fn in reversed(self._records):
-            fn()
+        for out, fn in reversed(self._records):
+            if out.grad is not None:
+                fn(out.grad)
 
 
 class _TapeStack(threading.local):
@@ -141,20 +144,21 @@ def active_tape() -> Optional[Tape]:
 def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
+    arr = np.asarray(x)
+    return Tensor(arr if like is None else arr.astype(like.dtype, copy=False))
 
 
-def _suffix_broadcastable(a_shape, b_shape) -> bool:
-    small, big = sorted((tuple(a_shape), tuple(b_shape)), key=len)
-    return big[len(big) - len(small):] == small
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if not _suffix_broadcastable(a.shape, b.shape):
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands of an elementwise op as tensors, a scalar or array one
+    in the other's dtype; their shapes may mix only by leading-axis expansion."""
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
+    small, big = sorted((a.shape, b.shape), key=len)
+    if big[len(big) - len(small):] != small:
         raise DimensionError(
             f"{op}: shapes {a.shape} and {b.shape} mix beyond leading-axis expansion"
         )
+    return a, b
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -169,7 +173,7 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(backward_fn)
+        tape.record(out, backward_fn)
     return out
 
 
@@ -177,35 +181,27 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "add")
+    a, b = _operands(a, b, "add")
     out = Tensor(a.data + b.data)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad, b.shape))
+            b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _maybe_record(out, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     out = Tensor(a.data - b.data)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(out.grad, b.shape))
+            b.accumulate_grad(-_unbroadcast(g, b.shape))
 
     return _maybe_record(out, (a, b), backward)
 
@@ -213,26 +209,21 @@ def sub(a, b) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(-out.grad)
+    def backward(g):
+        a.accumulate_grad(-g)
 
     return _maybe_record(out, (a,), backward)
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     out = Tensor(a.data * b.data)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _maybe_record(out, (a, b), backward)
 
@@ -252,10 +243,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: leading dims disagree ({a.shape} x {b.shape})")
     out = Tensor(a.data @ b.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
@@ -281,10 +269,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
     out = Tensor(data)
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         g2 = g.reshape(-1, n)
         if b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), owned=True)
@@ -304,9 +289,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     out = Tensor(np.transpose(a.data, axes).copy())
     inv = tuple(np.argsort(axes))
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(np.transpose(out.grad, inv))
+    def backward(g):
+        a.accumulate_grad(np.transpose(g, inv))
 
     return _maybe_record(out, (a,), backward)
 
@@ -316,9 +300,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy())
     orig = a.shape
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(orig))
+    def backward(g):
+        a.accumulate_grad(g.reshape(orig))
 
     return _maybe_record(out, (a,), backward)
 
@@ -329,14 +312,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
+                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.accumulate_grad(out.grad[tuple(idx)])
+                t.accumulate_grad(g[tuple(idx)])
 
     return _maybe_record(out, tensors, backward)
 
@@ -348,11 +329,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(idx)
     out = Tensor(a.data[idx].copy())
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += out.grad
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[idx] += g
 
     return _maybe_record(out, (a,), backward)
 
@@ -362,11 +342,10 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index].copy())
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, index, out.grad)
-            a.accumulate_grad(g)
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, g)
+        a.accumulate_grad(full)
 
     return _maybe_record(out, (a,), backward)
 
@@ -387,9 +366,8 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     kept, full = _reduce_backward_shape(a, axis)
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(out.grad.reshape(kept), full).copy())
+    def backward(g):
+        a.accumulate_grad(np.broadcast_to(g.reshape(kept), full).copy())
 
     return _maybe_record(out, (a,), backward)
 
@@ -399,10 +377,9 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     kept, full = _reduce_backward_shape(a, axis)
     count = a.data.size / max(out.data.size, 1)
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            g = np.broadcast_to(out.grad.reshape(kept), full) / count
-            a.accumulate_grad(g.astype(a.dtype, copy=False))
+    def backward(g):
+        ga = np.broadcast_to(g.reshape(kept), full) / count
+        a.accumulate_grad(ga.astype(a.dtype, copy=False))
 
     return _maybe_record(out, (a,), backward)
 
@@ -413,9 +390,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out = Tensor(np.log(a.data))
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
+    def backward(g):
+        a.accumulate_grad(g / a.data)
 
     return _maybe_record(out, (a,), backward)
 
@@ -423,9 +399,8 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out = Tensor(np.sqrt(a.data))
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * 0.5 / out.data)
+    def backward(g):
+        a.accumulate_grad(g * 0.5 / out.data)
 
     return _maybe_record(out, (a,), backward)
 
@@ -447,9 +422,7 @@ def gelu(a: Tensor) -> Tensor:
     y *= one_t  # 0.5 * x * (1 + tanh(inner))
     out = Tensor(y)
 
-    def backward():
-        if out.grad is None or not a.requires_grad:
-            return
+    def backward(g):
         dinner = x * x
         dinner *= 3 * 0.044715
         dinner += 1.0
@@ -468,7 +441,7 @@ def gelu(a: Tensor) -> Tensor:
         local *= e
         local *= dinner
         local += np.multiply(one_t, 0.5, out=e)
-        local *= out.grad  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
+        local *= g  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
         a.accumulate_grad(local, owned=True)
 
     return _maybe_record(out, (a,), backward)
@@ -503,10 +476,8 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor((s @ v).transpose(0, 2, 1, 3).reshape(b, t, d))
 
-    def backward():
-        if out.grad is None or not qkv.requires_grad:
-            return
-        gc = out.grad.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    def backward(g):
+        gc = g.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
         gs = gc @ v.swapaxes(-1, -2)
         gv = s.swapaxes(-1, -2) @ gc
         gs -= (gs * s).sum(axis=-1, keepdims=True)
@@ -527,10 +498,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(z - lse)
     s = np.exp(out.data)
 
-    def backward():
-        if out.grad is None or not a.requires_grad:
-            return
-        g = out.grad
+    def backward(g):
         a.accumulate_grad(g - s * g.sum(axis=axis, keepdims=True))
 
     return _maybe_record(out, (a,), backward)
@@ -551,10 +519,7 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
 
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
+    def backward(g):
         if gain.requires_grad:
             gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -575,10 +540,7 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
     y = a.data / denom
     out = Tensor(y)
 
-    def backward():
-        if out.grad is None or not a.requires_grad:
-            return
-        g = out.grad
+    def backward(g):
         unclamped = norm > eps
         dot = (g * y).sum(axis=axis, keepdims=True)
         grad = np.where(unclamped, (g - y * dot) / denom, g / denom)

@@ -20,7 +20,7 @@ from . import tensor as T
 from .augment import CropSpec, multicrop
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import DimensionError, InputError, ParameterError
-from .objective import (CenteringState, SslConfig, head_forward,
+from .objective import (CenteringState, SslConfig, _check_view_rows, head_forward,
                         init_head_params, renormalize_prototypes,
                         teacher_targets_multiview, total_loss)
 from .vit import VitConfig, VitEncoder, init_vit_params, vit_param_names
@@ -246,9 +246,7 @@ def train_step(state: TrainState, views: np.ndarray) -> float:
     as `sample_batch` lays them out. Each tower runs once on all 2B rows;
     Sinkhorn balances each view's half on its own, and each student view
     learns against the other view's teacher targets."""
-    if views.shape[0] % 2 or views.shape[0] < 4:
-        raise ParameterError(f"train_step needs two views of a batch of >= 2 "
-                             f"images, [2B, ...], got {views.shape[0]} rows")
+    _check_view_rows(views.shape[0])
     sched = schedule(state.iteration, state.train_cfg)
     targets = teacher_targets(state, views)
 

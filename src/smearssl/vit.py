@@ -91,7 +91,7 @@ def vit_param_names(cfg: VitConfig) -> list[str]:
     return names
 
 
-def init_vit_params(cfg: VitConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, T.Tensor]:
+def init_vit_params(cfg: VitConfig, rng: np.random.Generator) -> dict[str, T.Tensor]:
     """Fresh parameter dict: truncated normal (std 0.02) projections, zero
     biases, unit layernorm gains, CLS ~ N(0, 0.02^2)."""
     d = cfg.embed_dim
@@ -116,7 +116,7 @@ def init_vit_params(cfg: VitConfig, rng: np.random.Generator, dtype=np.float32) 
         params[pre + "mlp.fc2.bias"] = np.zeros(d, dtype=np.float32)
     params["final_ln.gain"] = np.ones(d, dtype=np.float32)
     params["final_ln.bias"] = np.zeros(d, dtype=np.float32)
-    return {k: T.Tensor(v.astype(dtype), requires_grad=True) for k, v in params.items()}
+    return {k: T.Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
 class VitEncoder:
@@ -136,11 +136,10 @@ class VitEncoder:
         patches = images_to_patches(np.asarray(images), cfg)
         x = T.Tensor(patches.astype(p["patch_proj.weight"].dtype, copy=False))
         x = T.linear(x, p["patch_proj.weight"], p["patch_proj.bias"])  # [B,N,D]
-        b = x.shape[0]
-        cls = T.reshape(p["cls_token"], (1, cfg.embed_dim))
-        cls_rows = T.concat([cls] * b, axis=0)  # [B,D]
-        cls_tok = T.reshape(cls_rows, (b, 1, cfg.embed_dim))
-        x = T.concat([cls_tok, x], axis=1)  # [B,1+N,D]
+        # CLS onto every row as one broadcast add: -0.0 + c is c bit for bit,
+        # and the gradient sums over the batch in row order
+        cls = T.add(np.full((x.shape[0], 1, cfg.embed_dim), -0.0, x.dtype), p["cls_token"])
+        x = T.concat([cls, x], axis=1)  # [B,1+N,D]
         x = x + p["pos_embed"]
         for i in range(cfg.depth):
             pre = f"blocks.{i}."

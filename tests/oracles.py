@@ -295,10 +295,8 @@ def reference_softmax(a: T.Tensor) -> T.Tensor:
     s = e / e.sum(axis=-1, keepdims=True)
     out = T.Tensor(s)
 
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            g = out.grad
-            a.accumulate_grad(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+    def backward(g):
+        a.accumulate_grad(s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     return T._maybe_record(out, (a,), backward)
 
@@ -411,9 +409,11 @@ def vit_param_count(cfg: VitConfig) -> int:
 
 
 def seeded_encoder(cfg: VitConfig, seed: int = 0, dtype=np.float32) -> VitEncoder:
-    """A fresh encoder whose parameters `init_vit_params` draws from PCG64(seed)."""
-    return VitEncoder(cfg, init_vit_params(cfg, np.random.Generator(np.random.PCG64(seed)),
-                                           dtype=dtype))
+    """A fresh encoder whose parameters `init_vit_params` draws from PCG64(seed),
+    cast to `dtype`."""
+    params = init_vit_params(cfg, np.random.Generator(np.random.PCG64(seed)))
+    return VitEncoder(cfg, {k: T.Tensor(v.data.astype(dtype), requires_grad=True)
+                            for k, v in params.items()})
 
 
 def encoder_param_count(enc: VitEncoder) -> int:

@@ -123,6 +123,28 @@ class TestEmaCentering:
                                             SMALL.sinkhorn_iters))
 
 
+class TestViewRows:
+    # logits and targets hold two views of a batch of >= 2 images, [2B, K];
+    # other row counts are refused before the ema center moves
+    @pytest.mark.parametrize("centering", ["ema", "sinkhorn", "none"])
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_teacher_targets_refuse_bad_rows(self, rng, centering, rows):
+        cfg = SslConfig(head_hidden=16, bottleneck=8, num_prototypes=8,
+                        centering=centering)
+        state = CenteringState(rng.normal(size=8).astype(np.float32))
+        before = state.center.copy()
+        with pytest.raises(ParameterError, match="rows"):
+            teacher_targets_multiview(rng.normal(size=(rows, 8)), cfg, state)
+        assert state.center.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_dino_loss_refuses_bad_rows(self, rng, rows):
+        logits = T.Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
+        targets = np.full((rows, 8), 1 / 8)
+        with pytest.raises(ParameterError, match="rows"):
+            dino_loss(logits, targets, SMALL.student_temp)
+
+
 def _per_view(t: T.Tensor, b: int) -> list[T.Tensor]:
     return [T.narrow(t, 0, 0, b), T.narrow(t, 0, b, b)]
 
@@ -155,7 +177,7 @@ class TestDinoLoss:
         np.testing.assert_allclose(loss.item(), np.log(4.0), atol=1e-9)
 
     def test_matched_distributions_give_entropy(self):
-        p = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+        p = np.tile([0.2, 0.3, 0.5], (4, 1))  # two views of two images
         temp = 0.1
         loss = dino_loss(T.Tensor(temp * np.log(p)), p, student_temp=temp)
         entropy = -(p[0] * np.log(p[0])).sum()

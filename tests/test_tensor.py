@@ -337,6 +337,32 @@ class TestTapeMechanics:
         assert out["other"] is None and out["y"].requires_grad is False
         assert out["own"] == 1
 
+    def test_unreached_record_never_runs(self, rng):
+        # the tape hands a closure its output's gradient, and skips a record
+        # that no gradient reached; its input's grad stays None
+        x, y = t64(rng.normal(size=3)), t64(rng.uniform(1.0, 2.0, size=3))
+        calls = []
+        with T.Tape() as tape:
+            T._maybe_record(T.Tensor(x.data.copy()), (x,), lambda g: calls.append("unused"))
+            used = T._maybe_record(T.Tensor(x.data.copy()), (x,), calls.append)
+            T.log(y)
+            tape.backward(T.tensor_sum(used))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.ones(3))
+        assert x.grad is None and y.grad is None
+
+    @pytest.mark.parametrize("op", [
+        T.neg, lambda a: T.transpose(a, (2, 1, 0)), lambda a: T.reshape(a, (6, 12)),
+        lambda a: T.narrow(a, 1, 0, 2), lambda a: T.gather_rows(a, [1, 0, 1]),
+        T.tensor_sum, T.mean, T.log, T.sqrt, T.gelu, lambda a: T.attention(a, 2),
+        T.log_softmax, T.l2_normalize,
+    ])
+    def test_one_input_op_on_constant_records_nothing(self, rng, op):
+        x = t64(rng.uniform(0.5, 1.5, size=(2, 3, 12)), grad=False)
+        with T.Tape() as tape:
+            out = op(x)
+        assert len(tape) == 0 and out.requires_grad is False
+
     def test_backward_on_nonscalar_seeds_ones(self, rng):
         x = t64(rng.normal(size=(2, 2)))
         with T.Tape() as tape:

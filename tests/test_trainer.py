@@ -377,11 +377,13 @@ class TestTrainStep:
 
     def test_tape_records_per_step(self, monkeypatch):
         # pins the fused ops, so a split back into generic primitives shows:
-        # at the tiny configs the encoder's stem and tail take 9 records,
-        # each block 10 (2 layernorms, 4 linear, attention, gelu, 2 residual
-        # adds), the head 8 and the loss 9 (scale, log_softmax, product, row
-        # sum, reshape to [2, B], per-view mean, neg, sum, halving); nothing
-        # splits the [2B, K] logits per view
+        # at the tiny configs the encoder's stem and tail take 7 records
+        # (patch linear, CLS broadcast add, concat, position add, final
+        # layernorm, CLS narrow and reshape), each block 10 (2 layernorms,
+        # 4 linear, attention, gelu, 2 residual adds), the head 8 and the
+        # loss 9 (scale, log_softmax, product, row sum, reshape to [2, B],
+        # per-view mean, neg, sum, halving); nothing splits the [2B, K]
+        # logits per view
         counts = []
         backward = T.Tape.backward
 
@@ -393,7 +395,7 @@ class TestTrainStep:
         cfg = tiny_train_cfg()
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
         train_step(state, sample_batch(noise_images(), TINY_CROP, cfg, 0))
-        assert counts == [36]
+        assert counts == [34]
 
     def test_each_tower_runs_once(self, monkeypatch):
         calls = {"encoder": 0, "head": 0}

@@ -161,6 +161,37 @@ class TestForward:
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
 
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_cls_token_gradient_matches_concat_form(self, rng, monkeypatch, b):
+        # the CLS rows come from one broadcast add; its gradient must equal,
+        # bit for bit in float32, the old form's: reshape, a concat of B
+        # copies (B accumulations in row order), reshape
+        cfg = VitConfig(image_size=16, patch_size=8, embed_dim=16, depth=1, heads=2)
+        enc = seeded_encoder(cfg)
+        imgs = rng.uniform(size=(b, 16, 16, 3)).astype(np.float32)
+        w = T.Tensor(rng.normal(size=(b, 16)).astype(np.float32))
+        concats, concat = [], T.concat
+
+        def spy(tensors, axis=0):
+            concats.append(concat(tensors, axis))
+            return concats[-1]
+
+        monkeypatch.setattr(T, "concat", spy)
+        with T.Tape() as tape:
+            tape.backward(T.tensor_sum(T.mul(enc.forward(imgs), w)))
+        tokens = concats[0]  # [B, 1+N, D], CLS first
+        cls = enc.params["cls_token"]
+        assert tokens.data[:, 0].tobytes() == np.tile(cls.data, b).tobytes()
+
+        ref = T.Tensor(cls.data, requires_grad=True)
+        with T.Tape() as tape:
+            rows = concat([T.reshape(ref, (1, 16))] * b, axis=0)
+            full = concat([T.reshape(rows, (b, 1, 16)), T.Tensor(tokens.data[:, 1:])], axis=1)
+            full.grad = tokens.grad.copy()
+            tape.backward(full)
+        assert ref.grad.dtype == np.float32
+        assert ref.grad.tobytes() == cls.grad.tobytes()
+
 
 class TestInit:
     def test_truncated_normal_bounds(self, rng):
