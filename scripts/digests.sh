@@ -3,10 +3,14 @@
 # seed, with BLAS pinned to one thread: a 12-image synthetic corpus, a
 # 6-iteration default `train`, a 4-iteration `train` with ema centering and
 # KoLeo 0.1, `patchify` and `extract-cells` of the first image and its mask,
-# `embed`, `pca-map` of the first image, a 3-fold linear `eval-kfold`, a k=3
-# k-NN `eval-loso`, and a k=3 `eval-knn` trained on source 0 and tested on
-# source 1. It runs the `src/` of the checkout it sits in, so two
-# checkouts' outputs compare with one diff:
+# `embed`, `pca-map` of the first image, and six evaluations: a 3-fold linear
+# and a 4-fold k=3 k-NN `eval-kfold` (each class holds 3 of the 12 images, so
+# the second takes the unstratified fallback), a k=3 k-NN and a linear
+# `eval-loso`, and a k=3 `eval-knn` and an `eval-linear` trained on source 0
+# and tested on source 1. Each evaluation's `--report` CSV is hashed, and so
+# is the report it prints (`emb/*.txt`: its stderr without the log lines).
+# It runs the `src/` of the checkout it sits in, so two checkouts' outputs
+# compare with one diff:
 #   diff <(scripts/digests.sh 0) <(../other/scripts/digests.sh 0)
 # Usage: scripts/digests.sh SEED
 set -euo pipefail
@@ -43,10 +47,22 @@ for src in 0 1; do
         --out "emb/src$src.emb1"
 done
 smearssl pca-map --checkpoint run/checkpoint.rdck --image "$FIRST" --out emb/pca_map.ppm
-smearssl eval-kfold --emb emb/cells.emb1 --classifier linear --folds 3 --seed "$SEED" \
-    --report emb/kfold_linear.csv
-smearssl eval-loso --emb emb/cells.emb1 --classifier knn --k 3 --report emb/loso_knn.csv
-smearssl eval-knn --train-emb emb/src0.emb1 --test-emb emb/src1.emb1 --k 3 \
-    --report emb/knn_src0_src1.csv
+
+# evaluate NAME ARGS...: writes emb/NAME.csv and the printed report emb/NAME.txt
+evaluate() {
+    local name=$1
+    shift
+    python3 -m smearssl.cli "$@" --report "emb/$name.csv" 2>"$name.err" \
+        || { cat "$name.err" >&2; return 1; }
+    grep -v -e '^INFO ' -e '^WARNING ' "$name.err" > "emb/$name.txt"
+}
+evaluate kfold_linear eval-kfold --emb emb/cells.emb1 --classifier linear --folds 3 --seed "$SEED"
+evaluate kfold_knn eval-kfold --emb emb/cells.emb1 --classifier knn --k 3 --folds 4 --seed "$SEED"
+grep -q 'unstratified folds' kfold_knn.err \
+    || { echo "kfold_knn: expected the unstratified fallback" >&2; exit 1; }
+evaluate loso_knn eval-loso --emb emb/cells.emb1 --classifier knn --k 3
+evaluate loso_linear eval-loso --emb emb/cells.emb1 --classifier linear
+evaluate knn_src0_src1 eval-knn --train-emb emb/src0.emb1 --test-emb emb/src1.emb1 --k 3
+evaluate linear_src0_src1 eval-linear --train-emb emb/src0.emb1 --test-emb emb/src1.emb1
 
 sha256sum data/* run/* run_ema/* patches/* cells/* emb/*

@@ -12,7 +12,7 @@ import numpy as np
 from .augment import CropSpec
 from .embeddings import EmbeddingSet
 from .objective import SslConfig, marginal_deviation, mean_assignment_entropy
-from .protocols import leave_one_source_out
+from .probes import knn
 from .synthetic import SynthConfig, SynthSample
 from .trainer import (TrainConfig, init_train_state, keep_freed_memory,
                       sample_batch, teacher_targets, train_step)
@@ -32,17 +32,16 @@ SSL = SslConfig(num_prototypes=64, head_hidden=64, bottleneck=16,
 
 
 def cross_source_acc(encoder: VitEncoder, samples: list[SynthSample]) -> float:
-    """Accuracy of the src0 -> src1 record of leave-one-source-out, cosine
-    k-NN with k = 20 capped at the smallest source."""
+    """Accuracy of cosine k-NN trained on src0 and tested on src1, as in
+    leave-one-source-out; k = 20 capped at the smallest source."""
     x = np.stack([s.image.pixels for s in samples]).astype(np.float32) / 255.0
     sources = [s.image.source_id for s in samples]
     emb = EmbeddingSet(encoder.forward(x).data, [str(i) for i in range(len(x))],
                        sources, [s.label for s in samples])
     k = min(20, *map(sources.count, set(sources)))
-    report = leave_one_source_out(emb, {"kind": "knn", "k": k,
-                                        "metric": "cosine"})
-    return next(r.metrics["acc"] for r in report.records
-                if (r.train_tag, r.test_tag) == ("src0", "src1"))
+    train, test = (emb.subset([i for i, s in enumerate(sources) if s == src])
+                   for src in ("src0", "src1"))
+    return knn(train, test, k=k, metric="cosine").metrics["acc"]
 
 
 def run_arm(mode: str, samples: list[SynthSample], ssl: SslConfig = SSL,

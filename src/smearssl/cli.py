@@ -22,8 +22,8 @@ from .embeddings import embed, read_embeddings, write_embeddings
 from .errors import SmearSslError, ValidationError
 from .netpbm import read_pgm, read_ppm, write_ppm
 from .pca import pca_map
-from .protocols import (EvalReport, SplitRecord, format_report, kfold,
-                        leave_one_source_out, run_classifier, write_report_csv)
+from .protocols import (EvalReport, format_report, kfold, leave_one_source_out,
+                        write_report_csv)
 from .synthetic import gen_synthetic, write_dataset
 from .trainer import load_encoder, train
 
@@ -146,12 +146,9 @@ def cmd_eval_pair(args) -> int:
                                "reg_lambda": "eval.reg_lambda",
                                "max_epochs": "eval.max_epochs",
                                "tol": "eval.tol"})
-    tr = read_embeddings(args.train_emb)
-    te = read_embeddings(args.test_emb)
     report = EvalReport(protocol=args.kind)
-    report.records.append(SplitRecord(
-        train_tag=args.train_emb, test_tag=args.test_emb, n_train=len(tr),
-        n_test=len(te), metrics=run_classifier(cfg.classifier_spec(), tr, te)))
+    report.add_split(cfg.classifier_spec(), args.train_emb, read_embeddings(args.train_emb),
+                     args.test_emb, read_embeddings(args.test_emb))
     _emit_report(report, args.report)
     return 0
 

@@ -40,8 +40,9 @@ DEFAULTS: dict[str, object] = {
     "run.seed": 0,
     **_section_defaults(),
 
-    "data.patch_size": 224,
-    "data.cell_size": 224,
+    # crops come out at the side the encoder takes
+    "data.patch_size": VitConfig.image_size,
+    "data.cell_size": VitConfig.image_size,
 
     "embed.batch_size": 64,
 
@@ -123,10 +124,7 @@ class RunConfig:
 
     def classifier_spec(self) -> dict:
         g = self.get
-        kind = g("eval.classifier")
-        if kind not in ("knn", "linear"):
-            raise InputError(f"eval.classifier must be knn or linear, got {kind!r}")
-        return {"kind": kind, "k": g("eval.k"), "metric": g("eval.metric"),
+        return {"kind": g("eval.classifier"), "k": g("eval.k"), "metric": g("eval.metric"),
                 "reg_lambda": g("eval.reg_lambda"),
                 "max_epochs": g("eval.max_epochs"), "tol": g("eval.tol")}
 

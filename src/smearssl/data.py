@@ -55,7 +55,7 @@ def _resize_uint8(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def patchify(img: SmearImage, patch: int = 224) -> list[np.ndarray]:
+def patchify(img: SmearImage, patch: int) -> list[np.ndarray]:
     """Disjoint patch×patch tiles. Images smaller than the patch on either
     side are first scaled up by one uniform factor (no distortion) so the
     short side equals the patch; remainder margins are discarded."""
@@ -86,8 +86,8 @@ def _median_border_color(pixels: np.ndarray) -> np.ndarray:
     return np.median(ring, axis=0).astype(np.uint8)
 
 
-def extract_cells(img: SmearImage, mask: np.ndarray, out_size: int = 224,
-                  ) -> tuple[list[np.ndarray], int]:
+def extract_cells(img: SmearImage, mask: np.ndarray,
+                  out_size: int) -> tuple[list[np.ndarray], int]:
     """One crop per nonzero mask label: tight box, 12% margin per side,
     clamped, square-padded with the image's median border color, resized.
 

@@ -51,14 +51,11 @@ class EmbeddingSet:
     def subset(self, indices) -> "EmbeddingSet":
         idx = np.asarray(indices, dtype=np.int64)
         return EmbeddingSet(
-            vectors=self.vectors[idx].copy(),
+            vectors=self.vectors[idx],  # integer indexing copies
             ids=[self.ids[i] for i in idx],
             sources=[self.sources[i] for i in idx],
             labels=[self.labels[i] for i in idx],
         )
-
-    def source_set(self) -> list[str]:
-        return sorted(set(self.sources))
 
 
 def sidecar_path(path: str) -> str:

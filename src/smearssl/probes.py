@@ -20,13 +20,18 @@ from .metrics import compute_metrics
 log = logging.getLogger("smearssl.probes")
 
 
-def _require_labels(emb: EmbeddingSet, role: str) -> list[str]:
-    labels = []
-    for i, lab in enumerate(emb.labels):
-        if lab is None:
-            raise ProtocolError(f"{role} row {i} has no label")
-        labels.append(lab)
-    return labels
+def _classes(train: EmbeddingSet, test: EmbeddingSet) -> tuple[list[str], np.ndarray]:
+    """The checks both classifiers make first: one dimension, and a label on
+    every row. Returns the sorted train classes and each train row's index
+    into them."""
+    if train.dim != test.dim:
+        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
+    for role, emb in (("train", train), ("test", test)):
+        if None in emb.labels:
+            raise ProtocolError(f"{role} row {emb.labels.index(None)} has no label")
+    classes = sorted(set(train.labels))
+    cindex = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([cindex[c] for c in train.labels], dtype=np.int64)
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,21 +45,19 @@ def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ProbeResult:
     predictions: list[str]
     metrics: dict[str, float]
-    classes: list[str]
     epochs_run: int
-    converged: bool
 
 
 def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
                  max_epochs: int, tol: float
-                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Fits softmax regression to the standardized float64 rows of x [n, d]
     with labels y_index in [0, k). Works class-major: x is copied once to a
     contiguous [d, n], the weights are [k, d], and the logits, probabilities
     and gradient are [k, n], so the max-shift and the softmax normalizer
     reduce over axis 0, k contiguous rows, and the bias gradient over each
-    contiguous row. Returns the weights [k, d], the bias [k], the epochs run
-    and whether the gradient norm fell below tol."""
+    contiguous row. Returns the weights [k, d], the bias [k] and the epochs
+    run, fewer than max_epochs only once the gradient norm fell below tol."""
     n = len(x)
     xt = np.ascontiguousarray(x.T)
     label = y_index * n + np.arange(n)  # flat index of [y_index, rows] in [k, n]
@@ -75,7 +78,6 @@ def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
 
     step = 1.0
     epochs = 0
-    converged = False
     probs, value = forward(w, b)
     for epochs in range(1, max_epochs + 1):
         g = (probs - onehot) / n
@@ -83,7 +85,6 @@ def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
         gb = g.sum(axis=1)
         gnorm_sq = float((gw * gw).sum() + (gb * gb).sum())
         if np.sqrt(gnorm_sq) < tol:
-            converged = True
             break
         step = min(step * 2.0, 1e4)
         while step > 1e-12:
@@ -94,7 +95,7 @@ def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
                 break
             step *= 0.5
         w, b, probs, value = w_new, b_new, probs_new, value_new
-    return w, b, epochs, converged
+    return w, b, epochs
 
 
 def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
@@ -107,41 +108,29 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
     stops after max_epochs epochs, or earlier once the gradient norm falls
     below tol (0 runs every epoch). Raises ParameterError for max_epochs < 1,
     a negative or non-finite reg_lambda, or a negative or non-finite tol."""
-    if train.dim != test.dim:
-        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
+    classes, y_index = _classes(train, test)
     if not (np.isfinite(reg_lambda) and reg_lambda >= 0):
         raise ParameterError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
     if max_epochs < 1:
         raise ParameterError(f"max_epochs must be >= 1, got {max_epochs}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol}")
-    y_train = _require_labels(train, "train")
-    y_test = _require_labels(test, "test")
-    classes = sorted(set(y_train))
     if len(classes) < 2:
         raise ProtocolError(f"train set has {len(classes)} class(es); need >= 2")
-    unseen = sorted(set(y_test) - set(classes))
+    unseen = sorted(set(test.labels) - set(classes))
     if unseen:
         log.warning("test classes absent from training: %s (always scored wrong)",
                     unseen)
-    cindex = {c: i for i, c in enumerate(classes)}
 
     x = train.vectors.astype(np.float64)
     mean, std = _standardize_stats(x)
     x = (x - mean) / std
-    y_index = np.array([cindex[c] for c in y_train])
-    w, b, epochs, converged = _fit_softmax(x, y_index, len(classes), reg_lambda,
-                                           max_epochs, tol)
+    w, b, epochs = _fit_softmax(x, y_index, len(classes), reg_lambda, max_epochs, tol)
 
     z = (test.vectors.astype(np.float64) - mean) / std
     preds = [classes[i] for i in (w @ z.T + b[:, None]).argmax(axis=0)]
-    return ProbeResult(
-        predictions=preds,
-        metrics=compute_metrics(y_test, preds),
-        classes=classes,
-        epochs_run=epochs,
-        converged=converged,
-    )
+    return ProbeResult(predictions=preds, metrics=compute_metrics(test.labels, preds),
+                       epochs_run=epochs)
 
 
 def _l2_rows(x: np.ndarray) -> np.ndarray:
@@ -192,19 +181,13 @@ def knn(train: EmbeddingSet, test: EmbeddingSet, k: int = 20,
     train-row order; most votes win, then the smaller summed distance among
     the tied classes, then the lexicographically smaller class name. Test
     rows go in chunks of about 2^22 distances, so memory is bounded in n_test."""
-    if train.dim != test.dim:
-        raise ProtocolError(f"dimension mismatch: train {train.dim}, test {test.dim}")
+    classes, y_index = _classes(train, test)
     if len(train) == 0:
         raise ProtocolError("empty train set")
     if not 1 <= k <= len(train):
         raise ParameterError(f"k must lie in [1, {len(train)}], got {k}")
     if metric not in ("cosine", "euclidean"):
         raise ParameterError(f"unknown distance metric {metric!r}")
-    y_train = _require_labels(train, "train")
-    y_test = _require_labels(test, "test")
-    classes = sorted(set(y_train))
-    cindex = {c: i for i, c in enumerate(classes)}
-    y_index = np.array([cindex[c] for c in y_train])
 
     xtr = train.vectors.astype(np.float64)
     if metric == "cosine":
@@ -224,4 +207,4 @@ def knn(train: EmbeddingSet, test: EmbeddingSet, k: int = 20,
         tied = votes == votes.max(axis=1, keepdims=True)
         best = np.where(tied, dsum, np.inf).min(axis=1, keepdims=True)
         preds += [classes[i] for i in np.argmax(tied & (dsum == best), axis=1)]
-    return KnnResult(predictions=preds, metrics=compute_metrics(y_test, preds))
+    return KnnResult(predictions=preds, metrics=compute_metrics(test.labels, preds))

@@ -2,7 +2,9 @@
 stratified k-fold, plus report serialization.
 
 A classifier spec is a small dict, e.g. {"kind": "knn", "k": 20} or
-{"kind": "linear", "reg_lambda": 1e-4}; `run_classifier` adapts it.
+{"kind": "linear", "reg_lambda": 1e-4}. `run_classifier` owns the classifier
+kinds: it adapts a spec to its kind's classifier and refuses any other kind.
+`EvalReport.add_split` scores and records every train/test split.
 """
 
 from __future__ import annotations
@@ -48,39 +50,45 @@ class EvalReport:
     protocol: str
     records: list[SplitRecord] = field(default_factory=list)
 
-    def aggregate(self, values: list[float]) -> tuple[float, float | None]:
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
-        return mean, std
+    def add_split(self, spec: dict, train_tag: str, train: EmbeddingSet,
+                  test_tag: str, test: EmbeddingSet) -> None:
+        """Scores one train/test split with the spec's classifier; records it."""
+        self.records.append(SplitRecord(train_tag, test_tag, len(train), len(test),
+                                        run_classifier(spec, train, test)))
 
     def aggregates(self) -> dict[str, tuple[float, float | None]]:
+        """Per metric: mean and sample std over the records (std None for one)."""
         out = {}
         for m in METRIC_NAMES:
-            out[m] = self.aggregate([r.metrics[m] for r in self.records])
+            values = [r.metrics[m] for r in self.records]
+            out[m] = (float(np.mean(values)),
+                      float(np.std(values, ddof=1)) if len(values) >= 2 else None)
         return out
+
+
+def _refuse_unlabeled(emb: EmbeddingSet) -> None:
+    """Refuses an unlabeled row, named by its index in the whole set, before
+    a split renumbers the rows."""
+    if None in emb.labels:
+        raise ProtocolError(f"row {emb.labels.index(None)} of the embedding set has no label")
 
 
 def leave_one_source_out(emb: EmbeddingSet, classifier: dict) -> EvalReport:
     """Train on each source, test on every other source separately: one
     record per ordered (train, test) pair, s(s-1) in total."""
-    sources = emb.source_set()
+    sources = sorted(set(emb.sources))
     if len(sources) < 2:
         raise ProtocolError(f"leave-one-source-out needs >= 2 sources, "
                             f"got {sources}")
+    _refuse_unlabeled(emb)
     by_source = {s: emb.subset([i for i, src in enumerate(emb.sources) if src == s])
                  for s in sources}
     report = EvalReport(protocol="loso")
     for train_src in sources:
         for test_src in sources:
-            if train_src == test_src:
-                continue
-            metrics = run_classifier(classifier, by_source[train_src],
-                                     by_source[test_src])
-            report.records.append(SplitRecord(
-                train_tag=train_src, test_tag=test_src,
-                n_train=len(by_source[train_src]),
-                n_test=len(by_source[test_src]),
-                metrics=metrics))
+            if train_src != test_src:
+                report.add_split(classifier, train_src, by_source[train_src],
+                                 test_src, by_source[test_src])
     return report
 
 
@@ -96,29 +104,22 @@ def loso_source_means(report: EvalReport) -> dict[str, dict[str, float]]:
 
 
 def kfold_assignments(labels: list[str], k: int, seed: int) -> np.ndarray:
-    """Fold index per row. Stratified round-robin within each class when
-    every class has at least k members; otherwise a plain shuffled split
-    (with a warning)."""
-    n = len(labels)
+    """Fold index per row. Stratified when every class has at least k
+    members: each class's rows, in sorted class order, are shuffled and
+    dealt round-robin to the folds. Otherwise all rows are one group, a
+    plain shuffled split (with a warning)."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    folds = np.empty(n, dtype=np.int64)
-    if all(c >= k for c in counts.values()):
-        for lab in sorted(counts):
-            idx = np.array([i for i, l in enumerate(labels) if l == lab])
-            rng.shuffle(idx)
-            for pos, row in enumerate(idx):
-                folds[row] = pos % k
-    else:
-        small = sorted(c for c in counts.values() if c < k)
+    groups = [np.array([i for i, lab in enumerate(labels) if lab == c])
+              for c in sorted(set(labels))]
+    small = [len(g) for g in groups if len(g) < k]
+    if small:
         log.warning("class with only %d member(s) < k=%d; falling back to "
-                    "unstratified folds", small[0], k)
-        idx = np.arange(n)
-        rng.shuffle(idx)
-        for pos, row in enumerate(idx):
-            folds[row] = pos % k
+                    "unstratified folds", min(small), k)
+        groups = [np.arange(len(labels))]
+    folds = np.empty(len(labels), dtype=np.int64)
+    for rows in groups:
+        rng.shuffle(rows)
+        folds[rows] = np.arange(len(rows)) % k
     return folds
 
 
@@ -128,17 +129,12 @@ def kfold(emb: EmbeddingSet, classifier: dict, k: int = 5, seed: int = 0) -> Eva
         raise ProtocolError(f"{n} rows cannot form {k} folds")
     if k < 2:
         raise ParameterError("k must be >= 2")
-    labels = [lab if lab is not None else "" for lab in emb.labels]
-    folds = kfold_assignments(labels, k, seed)
+    _refuse_unlabeled(emb)
+    folds = kfold_assignments(emb.labels, k, seed)
     report = EvalReport(protocol=f"{k}fold")
     for f in range(k):
-        test_idx = np.nonzero(folds == f)[0]
-        train_idx = np.nonzero(folds != f)[0]
-        metrics = run_classifier(classifier, emb.subset(train_idx),
-                                 emb.subset(test_idx))
-        report.records.append(SplitRecord(
-            train_tag=f"fold!={f}", test_tag=f"fold={f}",
-            n_train=len(train_idx), n_test=len(test_idx), metrics=metrics))
+        report.add_split(classifier, f"fold!={f}", emb.subset(np.flatnonzero(folds != f)),
+                         f"fold={f}", emb.subset(np.flatnonzero(folds == f)))
     return report
 
 
@@ -150,17 +146,15 @@ def write_report_csv(path: str, report: EvalReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["protocol", "train", "test", "n_train", "n_test",
-                         "acc", "bacc", "wf1"])
+                         *METRIC_NAMES])
         for r in report.records:
             writer.writerow([report.protocol, r.train_tag, r.test_tag,
-                             r.n_train, r.n_test,
-                             _fmt(r.metrics["acc"]), _fmt(r.metrics["bacc"]),
-                             _fmt(r.metrics["wf1"])])
+                             r.n_train, r.n_test]
+                            + [_fmt(r.metrics[m]) for m in METRIC_NAMES])
         agg = report.aggregates()
-        writer.writerow([report.protocol, "AGGREGATE", "mean", "", ""]
-                        + [_fmt(agg[m][0]) for m in METRIC_NAMES])
-        writer.writerow([report.protocol, "AGGREGATE", "std", "", ""]
-                        + [_fmt(agg[m][1]) for m in METRIC_NAMES])
+        for i, stat in enumerate(("mean", "std")):
+            writer.writerow([report.protocol, "AGGREGATE", stat, "", ""]
+                            + [_fmt(agg[m][i]) for m in METRIC_NAMES])
         if report.protocol == "loso":
             for src, mm in loso_source_means(report).items():
                 writer.writerow([report.protocol, "AGGREGATE_SOURCE", src, "", ""]
@@ -171,8 +165,7 @@ def format_report(report: EvalReport) -> str:
     lines = [f"protocol: {report.protocol}  ({len(report.records)} splits)"]
     for r in report.records:
         lines.append(f"  train {r.train_tag:>10} -> test {r.test_tag:>10}  "
-                     f"acc {r.metrics['acc']:.4f}  bacc {r.metrics['bacc']:.4f}  "
-                     f"wf1 {r.metrics['wf1']:.4f}")
+                     + "  ".join(f"{m} {r.metrics[m]:.4f}" for m in METRIC_NAMES))
     agg = report.aggregates()
     parts = []
     for m in METRIC_NAMES:

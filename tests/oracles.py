@@ -222,6 +222,29 @@ def reference_linear_probe(x: np.ndarray, y_index: np.ndarray, k: int,
     return w, b, epochs, converged
 
 
+def reference_kfold_assignments(labels: list[str], k: int, seed: int) -> np.ndarray:
+    """Fold index per row, with a separate deal loop per branch: when every
+    class has at least k members, each class in sorted order is shuffled and
+    dealt round-robin; otherwise all rows are shuffled and dealt at once."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
+    counts: dict[str, int] = {}
+    for lab in labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    folds = np.empty(len(labels), dtype=np.int64)
+    if all(c >= k for c in counts.values()):
+        for lab in sorted(counts):
+            idx = np.array([i for i, l in enumerate(labels) if l == lab])
+            rng.shuffle(idx)
+            for pos, row in enumerate(idx):
+                folds[row] = pos % k
+    else:
+        idx = np.arange(len(labels))
+        rng.shuffle(idx)
+        for pos, row in enumerate(idx):
+            folds[row] = pos % k
+    return folds
+
+
 def reference_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU (tanh form) and its input gradient for upstream ``g``, written
     out as plain expressions: the float ops the in-place ``T.gelu`` must

@@ -8,8 +8,14 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
+
+from oracles import seeded_encoder
 from smearssl import ablation
+from smearssl.embeddings import EmbeddingSet
+from smearssl.protocols import leave_one_source_out
 from smearssl.synthetic import gen_synthetic
+from smearssl.vit import VitConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COLUMNS = ["mode", "final_loss", "entropy", "marginal_dev",
@@ -28,6 +34,19 @@ def test_run_arm_returns_picklable_numbers():
     for key in ("cross_source_acc", "entropy", "marginal_dev"):
         assert type(arm[key]) is float and math.isfinite(arm[key]), key
     assert pickle.loads(pickle.dumps((ablation.run_arm, samples, arm)))[2] == arm
+
+
+def test_cross_source_acc_is_the_loso_src0_to_src1_record():
+    samples = gen_synthetic(replace(ablation.SYNTH, n_images=25))
+    encoder = seeded_encoder(VitConfig(), seed=3)
+    x = np.stack([s.image.pixels for s in samples]).astype(np.float32) / 255.0
+    emb = EmbeddingSet(encoder.forward(x).data, [str(i) for i in range(len(x))],
+                       [s.image.source_id for s in samples],
+                       [s.label for s in samples])
+    # src0 has 13 rows and src1 12, so k = 20 is capped at 12
+    report = leave_one_source_out(emb, {"kind": "knn", "k": 12, "metric": "cosine"})
+    record = next(r for r in report.records if (r.train_tag, r.test_tag) == ("src0", "src1"))
+    assert ablation.cross_source_acc(encoder, samples) == record.metrics["acc"]
 
 
 def test_script_smoke(tmp_path):

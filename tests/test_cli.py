@@ -13,14 +13,15 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from smearssl.checkpoint import _encode_config
+from oracles import seeded_encoder
+from smearssl.checkpoint import _encode_config, write_checkpoint
 from smearssl.cli import main
 from smearssl.config import (RunConfig, apply_overrides, load_config,
                              parse_config_text)
 from smearssl.data import load_manifest
 from smearssl.embeddings import EmbeddingSet, read_embeddings, write_embeddings
 from smearssl.errors import InputError, NumericError
-from smearssl.netpbm import read_ppm
+from smearssl.netpbm import read_ppm, write_ppm
 from smearssl.probes import knn, linear_probe
 from smearssl.protocols import (EvalReport, SplitRecord, kfold,
                                 leave_one_source_out, write_report_csv)
@@ -195,11 +196,19 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise NumericError("loss is not finite")
 
-        monkeypatch.setattr("smearssl.cli.run_classifier", explode)
+        monkeypatch.setattr("smearssl.protocols.run_classifier", explode)
         rc, _, err = run_cli(["eval-knn", "--train-emb", tr, "--test-emb", te],
                              capsys)
         assert rc == 2
         assert "runtime error:" in err
+
+    def test_unknown_classifier_kind_is_validation_error(self, emb_files, capsys):
+        tr, _ = emb_files
+        rc, _, err = run_cli(["eval-loso", "--emb", tr,
+                              "--set", "eval.classifier=svm"], capsys)
+        assert rc == 1
+        assert any(line.startswith("error:") and "'svm'" in line
+                   for line in err.splitlines()), err
 
     def test_corrupt_inputs_are_validation_errors(self, emb_files, tmp_path,
                                                   capsys):
@@ -408,6 +417,24 @@ class TestDataCommands:
         patch = read_ppm(made[0].path)
         assert patch.shape == (32, 32, 3)
         assert (out / "config.resolved").is_file()
+
+    def test_default_patches_embed_with_default_encoder(self, tmp_path, capsys):
+        # The default crop side is the default encoder's image side.
+        rng = np.random.Generator(np.random.PCG64(5))
+        image = str(tmp_path / "smear.ppm")
+        write_ppm(image, rng.integers(0, 256, size=(128, 192, 3), dtype=np.uint8))
+        rc, _, err = run_cli(["patchify", "--image", image,
+                              "--out", str(tmp_path / "patches")], capsys)
+        assert rc == 0, err
+        ckpt = str(tmp_path / "enc.rdck")
+        write_checkpoint(ckpt, VitConfig(), {k: p.data for k, p in
+                                             seeded_encoder(VitConfig()).params.items()})
+        out = str(tmp_path / "patches.emb1")
+        rc, _, err = run_cli(["embed", "--checkpoint", ckpt, "--manifest",
+                              str(tmp_path / "patches" / "manifest.csv"),
+                              "--out", out], capsys)
+        assert rc == 0, err
+        assert len(read_embeddings(out)) == 6  # 128x192 in 64-px tiles
 
     def test_extract_cells(self, dataset, tmp_path, capsys):
         records = load_manifest(str(dataset / "manifest.csv"))

@@ -151,12 +151,12 @@ class TestExtractCells:
         img = self._img()
         mask = np.zeros((224, 224), dtype=np.uint16)
         mask[87:137, 87:137] = 1
-        crops, skipped = extract_cells(img, mask)
+        crops, skipped = extract_cells(img, mask, 224)
         assert len(crops) == 1 and skipped == 0
         assert crops[0].shape == (224, 224, 3)
 
     def test_empty_mask_no_crops(self):
-        crops, skipped = extract_cells(self._img(), np.zeros((224, 224), np.uint16))
+        crops, skipped = extract_cells(self._img(), np.zeros((224, 224), np.uint16), 224)
         assert crops == [] and skipped == 0
 
     def test_two_blobs_two_crops(self):
@@ -164,7 +164,7 @@ class TestExtractCells:
         mask = np.zeros((224, 224), dtype=np.uint16)
         mask[10:40, 10:40] = 1
         mask[150:200, 150:190] = 2
-        crops, skipped = extract_cells(img, mask)
+        crops, skipped = extract_cells(img, mask, 224)
         assert len(crops) == 2 and skipped == 0
 
     def test_tiny_label_skipped_and_counted(self):
@@ -172,7 +172,7 @@ class TestExtractCells:
         mask = np.zeros((224, 224), dtype=np.uint16)
         mask[0:3, 0:3] = 1   # 9 px, below the 16-px floor
         mask[100:140, 100:140] = 2
-        crops, skipped = extract_cells(img, mask)
+        crops, skipped = extract_cells(img, mask, 224)
         assert len(crops) == 1 and skipped == 1
 
     def test_bounding_boxes_match_naive_scan(self):
@@ -202,13 +202,13 @@ class TestExtractCells:
 
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            extract_cells(self._img(), np.zeros((10, 10), np.uint16))
+            extract_cells(self._img(), np.zeros((10, 10), np.uint16), 224)
 
     def test_edge_blob_clamped(self):
         img = self._img()
         mask = np.zeros((224, 224), dtype=np.uint16)
         mask[0:30, 0:30] = 1
-        crops, skipped = extract_cells(img, mask)
+        crops, skipped = extract_cells(img, mask, 224)
         assert len(crops) == 1 and skipped == 0
 
 

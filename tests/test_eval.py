@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (dense_pca, naive_knn, naive_metrics, reference_linear_probe,
+from oracles import (dense_pca, naive_knn, naive_metrics,
+                     reference_kfold_assignments, reference_linear_probe,
                      seeded_encoder)
 from smearssl import probes
 from smearssl import tensor as T
@@ -335,8 +336,7 @@ class TestLinearProbe:
     def test_converges_on_easy_data(self, rng):
         train = cluster_set(rng, classes=("a", "b"), d=2, spread=0.01)
         out = linear_probe(train, train, max_epochs=500)
-        assert out.epochs_run <= 500
-        assert out.classes == ["a", "b"]
+        assert out.epochs_run < 500
 
     @pytest.mark.parametrize("name, value", [
         ("max_epochs", 0), ("max_epochs", -3),
@@ -365,12 +365,11 @@ class TestLinearProbe:
                     x = rng.normal(size=(n, d)) + 1.5 * rng.normal(size=(k, d))[y]
                     mean, std = probes._standardize_stats(x)
                     x = (x - mean) / std
-                    w, b, epochs, converged = probes._fit_softmax(
-                        x, y, k, 1e-4, 500, tol)
-                    wr, br, epochs_r, converged_r = reference_linear_probe(
+                    w, b, epochs = probes._fit_softmax(x, y, k, 1e-4, 500, tol)
+                    wr, br, epochs_r, converged = reference_linear_probe(
                         x, y, k, 1e-4, 500, tol)
                     case = (k, d, tol, n)
-                    assert (epochs, converged) == (epochs_r, converged_r), case
+                    assert epochs == epochs_r, case
                     got, want = x @ w.T + b, x @ wr + br
                     np.testing.assert_array_equal(got.argmax(axis=1),
                                                   want.argmax(axis=1), str(case))
@@ -383,6 +382,14 @@ class TestLinearProbe:
                     rel = 1e-9 if converged else 1e-6
                     scale = np.abs(want).max()
                     assert np.abs(got - want).max() <= rel * scale, case
+
+
+def unlabeled_row_37(rng):
+    """40 labeled rows over two sources, except row 37."""
+    labels = ["a", "b"] * 20
+    labels[37] = None
+    return emb_set(rng.normal(size=(40, 4)), labels,
+                   sources=[f"s{i % 2}" for i in range(40)])
 
 
 class TestLoso:
@@ -436,6 +443,11 @@ class TestLoso:
         with pytest.raises(ProtocolError):
             leave_one_source_out(emb, {"kind": "knn", "k": 1})
 
+    def test_unlabeled_row_named_by_its_index_in_the_set(self, rng):
+        emb = unlabeled_row_37(rng)
+        with pytest.raises(ProtocolError, match=r"^row 37 of the embedding set has no label$"):
+            leave_one_source_out(emb, {"kind": "knn", "k": 1})
+
     def test_source_means_average_pairs(self, rng):
         report = leave_one_source_out(self._four_source_set(rng),
                                       {"kind": "knn", "k": 1})
@@ -483,6 +495,29 @@ class TestKfold:
         folds = kfold_assignments(labels, k=5, seed=0)
         # still a valid cover: every row assigned, all folds non-empty
         assert set(folds.tolist()) == {0, 1, 2, 3, 4}
+
+    def test_one_deal_loop_matches_two_branch_reference(self, rng, caplog):
+        # Few rows over many classes reach the unstratified fallback, many
+        # rows over few classes the stratified deal.
+        branches = set()
+        for trial in range(60):
+            n = int(rng.integers(0, 40))
+            n_classes = int(rng.integers(1, 7))
+            labels = [f"c{c}" for c in rng.integers(0, n_classes, size=n)]
+            k = int(rng.integers(2, 6))
+            caplog.clear()
+            got = kfold_assignments(labels, k, seed=trial)
+            branches.add("falling back" in caplog.text)
+            want = reference_kfold_assignments(labels, k, seed=trial)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, str((labels, k)))
+        assert branches == {False, True}
+
+    def test_unlabeled_row_named_by_its_index_in_the_set(self, rng, caplog):
+        emb = unlabeled_row_37(rng)
+        with pytest.raises(ProtocolError, match=r"^row 37 of the embedding set has no label$"):
+            kfold(emb, {"kind": "knn", "k": 1}, k=5)
+        assert "falling back" not in caplog.text
 
     def test_too_few_rows_rejected(self, rng):
         emb = cluster_set(rng, n_per_class=1, classes=("a", "b"), d=3)
@@ -548,6 +583,12 @@ class TestEmbeddingIO:
         assert back.ids == emb.ids
         assert back.sources == emb.sources
         assert back.labels == emb.labels
+
+    def test_subset_copies_the_vectors(self, rng):
+        emb = emb_set(rng.normal(size=(6, 3)), ["a"] * 6)
+        sub = emb.subset([4, 0, 2])
+        assert not np.shares_memory(sub.vectors, emb.vectors)
+        np.testing.assert_array_equal(sub.vectors, emb.vectors[[4, 0, 2]])
 
     def test_on_disk_layout(self, tmp_path):
         emb = EmbeddingSet(np.arange(6, dtype=np.float32).reshape(2, 3),
