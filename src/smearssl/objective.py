@@ -53,18 +53,24 @@ class SslConfig:
             raise ParameterError("koleo_weight must be finite and >= 0")
 
 
+def head_param_shapes(cfg: SslConfig, embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """Every head parameter's shape, by name, in the order
+    `init_head_params` draws them."""
+    h, b = cfg.head_hidden, cfg.bottleneck
+    return {"fc1.weight": (embed_dim, h), "fc1.bias": (h,),
+            "fc2.weight": (h, h), "fc2.bias": (h,),
+            "fc3.weight": (h, b), "fc3.bias": (b,),
+            "prototypes": (cfg.num_prototypes, b)}
+
+
 def init_head_params(cfg: SslConfig, embed_dim: int,
                      rng: np.random.Generator) -> dict[str, T.Tensor]:
     """Three linear layers with GELU between, a normalized bottleneck, and a
     unit-row prototype matrix."""
-    w: dict[str, np.ndarray] = {}
-    w["fc1.weight"] = truncated_normal(rng, (embed_dim, cfg.head_hidden))
-    w["fc1.bias"] = np.zeros(cfg.head_hidden, dtype=np.float32)
-    w["fc2.weight"] = truncated_normal(rng, (cfg.head_hidden, cfg.head_hidden))
-    w["fc2.bias"] = np.zeros(cfg.head_hidden, dtype=np.float32)
-    w["fc3.weight"] = truncated_normal(rng, (cfg.head_hidden, cfg.bottleneck))
-    w["fc3.bias"] = np.zeros(cfg.bottleneck, dtype=np.float32)
-    protos = truncated_normal(rng, (cfg.num_prototypes, cfg.bottleneck)).astype(np.float64)
+    w = {name: np.zeros(shape, dtype=np.float32) if name.endswith(".bias")
+         else truncated_normal(rng, shape)
+         for name, shape in head_param_shapes(cfg, embed_dim).items()}
+    protos = w["prototypes"].astype(np.float64)
     norms = np.linalg.norm(protos, axis=1, keepdims=True)
     w["prototypes"] = (protos / np.maximum(norms, 1e-12)).astype(np.float32)
     return {k: T.Tensor(v, requires_grad=True) for k, v in w.items()}

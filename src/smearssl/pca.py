@@ -45,8 +45,7 @@ def pca_map(encoder: VitEncoder, image: np.ndarray, n_components: int = 3,
     img = np.asarray(image)
     if img.dtype == np.uint8:
         img = img.astype(np.float32) / 255.0
-    _, patch_tokens = encoder.forward_tokens(img[None])
-    tokens = patch_tokens.data[0].astype(np.float64)  # [N, d]
+    tokens = encoder.forward_tokens(img[None]).data[0].astype(np.float64)  # [N, d]
     if tokens.shape[0] < n_components:
         raise ProtocolError(f"{tokens.shape[0]} patch tokens cannot support "
                             f"{n_components} components")

@@ -450,22 +450,29 @@ def gelu(a: Tensor) -> Tensor:
 # --- normalizers --------------------------------------------------------
 
 
-def attention(qkv: Tensor, heads: int) -> Tensor:
+def attention(qkv: Tensor, heads: int, queries: Optional[int] = None) -> Tensor:
     """Multi-head self-attention core as one record: packed q|k|v tokens
-    [B, T, 3D] -> softmax(q kT / sqrt(D/heads)) v, heads merged to [B, T, D].
+    [B, T, 3D] -> softmax(q kT / sqrt(D/heads)) v, heads merged to [B, n, D].
+
+    With ``queries=n`` only the first n tokens ask (scores [B, h, n, T]);
+    every token still answers through k and v, and the q gradient of the
+    other tokens is 0. The default, n = T, is full self-attention.
 
     Forward and gradients are bit-identical to the same computation built
     from reshape, transpose, narrow, matmul and mul records and a last-axis
-    softmax record: BLAS rounds by operand layout, so every matmul here,
-    backward included, gets that composition's layouts (contiguous or
-    transposed views)."""
+    softmax record (q narrowed to n tokens): BLAS rounds by operand layout,
+    so every matmul here, backward included, gets that composition's
+    layouts (contiguous or transposed views)."""
     b, t, d3 = qkv.shape
     if d3 % (3 * heads) != 0:
         raise DimensionError(f"attention: packed width {d3} not divisible by 3 x {heads} heads")
+    n = t if queries is None else queries
+    if not 1 <= n <= t:
+        raise DimensionError(f"attention: {n} queries outside [1, {t}] tokens")
     d = d3 // 3
     dh = d // heads
     split = qkv.data.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    q = np.ascontiguousarray(split[0])  # [B,h,T,dh]
+    q = np.ascontiguousarray(split[0][:, :, :n])  # [B,h,n,dh]
     kt = np.ascontiguousarray(split[1].swapaxes(-1, -2))  # [B,h,dh,T]
     v = np.ascontiguousarray(split[2])
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=qkv.dtype)
@@ -474,17 +481,18 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    out = Tensor((s @ v).transpose(0, 2, 1, 3).reshape(b, t, d))
+    out = Tensor((s @ v).transpose(0, 2, 1, 3).reshape(b, n, d))
 
     def backward(g):
-        gc = g.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+        gc = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
         gs = gc @ v.swapaxes(-1, -2)
         gv = s.swapaxes(-1, -2) @ gc
         gs -= (gs * s).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= scale
         grad = np.empty((b, t, 3, heads, dh), dtype=qkv.dtype)
-        grad[:, :, 0] = (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+        grad[:, n:, 0] = 0.0
+        grad[:, :n, 0] = (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
         grad[:, :, 1] = (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
         grad[:, :, 2] = gv.transpose(0, 2, 1, 3)
         qkv.accumulate_grad(grad.reshape(b, t, d3), owned=True)

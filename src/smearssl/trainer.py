@@ -21,9 +21,9 @@ from .augment import CropSpec, multicrop
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import DimensionError, InputError, ParameterError
 from .objective import (CenteringState, SslConfig, _check_view_rows, head_forward,
-                        init_head_params, renormalize_prototypes,
+                        head_param_shapes, init_head_params, renormalize_prototypes,
                         teacher_targets_multiview, total_loss)
-from .vit import VitConfig, VitEncoder, init_vit_params, vit_param_names
+from .vit import VitConfig, VitEncoder, init_vit_params, vit_param_shapes
 
 log = logging.getLogger("smearssl.trainer")
 
@@ -153,12 +153,11 @@ class TrainState:
         return out
 
 
-def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
-                     train_cfg: TrainConfig) -> TrainState:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [train_cfg.seed, 0])))
-    student_params = init_vit_params(vit_cfg, rng)
-    student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
+def _new_state(vit_cfg: VitConfig, ssl_cfg: SslConfig, train_cfg: TrainConfig,
+               student_params: dict[str, T.Tensor],
+               student_head: dict[str, T.Tensor]) -> TrainState:
+    """A state at iteration 0 around these student parameters: the teacher
+    is a copy of them, the moments and the center are zero."""
     teacher_params = {k: T.Tensor(v.data.copy()) for k, v in student_params.items()}
     teacher_head = {k: T.Tensor(v.data.copy()) for k, v in student_head.items()}
     state = TrainState(
@@ -174,6 +173,15 @@ def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
         state.moments_m[name] = np.zeros_like(p.data)
         state.moments_v[name] = np.zeros_like(p.data)
     return state
+
+
+def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
+                     train_cfg: TrainConfig) -> TrainState:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [train_cfg.seed, 0])))
+    student_params = init_vit_params(vit_cfg, rng)
+    student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
+    return _new_state(vit_cfg, ssl_cfg, train_cfg, student_params, student_head)
 
 
 def _iteration_rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
@@ -298,7 +306,14 @@ def load_train_state(path: str, ssl_cfg: SslConfig,
     """Raises InputError unless the file holds every blob that a state
     built from these configs has, each in that state's shape."""
     vit_cfg, blobs = read_checkpoint(path)
-    state = init_train_state(vit_cfg, ssl_cfg, train_cfg)
+
+    def zeros(shapes):
+        return {k: T.Tensor(np.zeros(s, dtype=np.float32), requires_grad=True)
+                for k, s in shapes.items()}
+
+    # every array is overwritten below, so nothing is drawn
+    state = _new_state(vit_cfg, ssl_cfg, train_cfg, zeros(vit_param_shapes(vit_cfg)),
+                       zeros(head_param_shapes(ssl_cfg, vit_cfg.embed_dim)))
     for name, want in _state_blobs(state).items():
         if name not in blobs:
             raise InputError(f"{path}: not a training state for this config: "
@@ -319,11 +334,10 @@ def export_teacher(path: str, state: TrainState) -> None:
 
 def load_encoder(path: str) -> VitEncoder:
     cfg, blobs = read_checkpoint(path)
-    params = {k: T.Tensor(v.copy()) for k, v in blobs.items()}
-    if set(params) != set(vit_param_names(cfg)):
+    if {k: v.shape for k, v in blobs.items()} != vit_param_shapes(cfg):
         raise InputError(f"{path}: not an encoder checkpoint "
-                         f"(unexpected parameter names)")
-    return VitEncoder(cfg, params=params)
+                         f"(unexpected parameter names or shapes)")
+    return VitEncoder(cfg, params={k: T.Tensor(v) for k, v in blobs.items()})
 
 
 def _format_float(x: float) -> str:

@@ -79,50 +79,52 @@ def images_to_patches(images: np.ndarray, cfg: VitConfig) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(b, g * g, p * p * c))
 
 
-def vit_param_names(cfg: VitConfig) -> list[str]:
-    names = ["patch_proj.weight", "patch_proj.bias", "pos_embed", "cls_token"]
+def vit_param_shapes(cfg: VitConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, by name, in the order the checkpoint writes
+    them and `init_vit_params` draws them."""
+    d, hidden = cfg.embed_dim, cfg.mlp_hidden
+    shapes = {"patch_proj.weight": (cfg.patch_size**2 * cfg.in_channels, d),
+              "patch_proj.bias": (d,), "pos_embed": (cfg.num_patches + 1, d),
+              "cls_token": (d,)}
     for i in range(cfg.depth):
         pre = f"blocks.{i}."
-        names += [pre + n for n in (
-            "ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias",
-            "attn.proj.weight", "attn.proj.bias", "ln2.gain", "ln2.bias",
-            "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")]
-    names += ["final_ln.gain", "final_ln.bias"]
-    return names
+        shapes.update({
+            pre + "ln1.gain": (d,), pre + "ln1.bias": (d,),
+            pre + "attn.qkv.weight": (d, 3 * d), pre + "attn.qkv.bias": (3 * d,),
+            pre + "attn.proj.weight": (d, d), pre + "attn.proj.bias": (d,),
+            pre + "ln2.gain": (d,), pre + "ln2.bias": (d,),
+            pre + "mlp.fc1.weight": (d, hidden), pre + "mlp.fc1.bias": (hidden,),
+            pre + "mlp.fc2.weight": (hidden, d), pre + "mlp.fc2.bias": (d,)})
+    shapes.update({"final_ln.gain": (d,), "final_ln.bias": (d,)})
+    return shapes
 
 
 def init_vit_params(cfg: VitConfig, rng: np.random.Generator) -> dict[str, T.Tensor]:
-    """Fresh parameter dict: truncated normal (std 0.02) projections, zero
-    biases, unit layernorm gains, CLS ~ N(0, 0.02^2)."""
-    d = cfg.embed_dim
-    params: dict[str, np.ndarray] = {}
-    params["patch_proj.weight"] = truncated_normal(rng, (cfg.patch_size**2 * cfg.in_channels, d))
-    params["patch_proj.bias"] = np.zeros(d, dtype=np.float32)
-    params["pos_embed"] = truncated_normal(rng, (cfg.num_patches + 1, d))
-    params["cls_token"] = rng.normal(0.0, 0.02, size=d).astype(np.float32)
-    for i in range(cfg.depth):
-        pre = f"blocks.{i}."
-        params[pre + "ln1.gain"] = np.ones(d, dtype=np.float32)
-        params[pre + "ln1.bias"] = np.zeros(d, dtype=np.float32)
-        params[pre + "attn.qkv.weight"] = truncated_normal(rng, (d, 3 * d))
-        params[pre + "attn.qkv.bias"] = np.zeros(3 * d, dtype=np.float32)
-        params[pre + "attn.proj.weight"] = truncated_normal(rng, (d, d))
-        params[pre + "attn.proj.bias"] = np.zeros(d, dtype=np.float32)
-        params[pre + "ln2.gain"] = np.ones(d, dtype=np.float32)
-        params[pre + "ln2.bias"] = np.zeros(d, dtype=np.float32)
-        params[pre + "mlp.fc1.weight"] = truncated_normal(rng, (d, cfg.mlp_hidden))
-        params[pre + "mlp.fc1.bias"] = np.zeros(cfg.mlp_hidden, dtype=np.float32)
-        params[pre + "mlp.fc2.weight"] = truncated_normal(rng, (cfg.mlp_hidden, d))
-        params[pre + "mlp.fc2.bias"] = np.zeros(d, dtype=np.float32)
-    params["final_ln.gain"] = np.ones(d, dtype=np.float32)
-    params["final_ln.bias"] = np.zeros(d, dtype=np.float32)
-    return {k: T.Tensor(v, requires_grad=True) for k, v in params.items()}
+    """Fresh parameter dict: truncated normal (std 0.02) projections and
+    position embedding, zero biases, unit layernorm gains,
+    CLS ~ N(0, 0.02^2)."""
+    params = {}
+    for name, shape in vit_param_shapes(cfg).items():
+        if name == "cls_token":
+            arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+        elif name.endswith((".weight", "pos_embed")):
+            arr = truncated_normal(rng, shape)
+        else:
+            arr = np.full(shape, name.endswith(".gain"), dtype=np.float32)
+        params[name] = T.Tensor(arr, requires_grad=True)
+    return params
 
 
 class VitEncoder:
-    """Pre-norm ViT; forward returns the CLS embedding after the final
-    layernorm and copies out no patch tokens; forward_tokens also returns
-    them, for the feature-map path."""
+    """Pre-norm ViT. `forward` returns the CLS embedding after the final
+    layernorm and runs the last block on the CLS query only: that block's
+    k and v still come from every token, but its attention asks for token 0
+    alone and its projection, MLP and the final layernorm see one row per
+    image. `forward_tokens` runs every block on every token and returns the
+    patch tokens, for the feature-map path. The two share all earlier work;
+    the CLS row of the all-token path equals `forward` to float32 rounding,
+    not bit for bit, since BLAS rounds a one-row product differently from
+    the same row inside a longer one."""
 
     LN_EPS = 1e-6
 
@@ -130,8 +132,11 @@ class VitEncoder:
         self.cfg = cfg
         self.params = params
 
-    def _tokens(self, images: np.ndarray) -> T.Tensor:
-        """All tokens [B, 1+N, D] after the final layernorm, CLS first."""
+    def _tokens(self, images: np.ndarray, cls_only: bool) -> T.Tensor:
+        """Tokens after the final layernorm, CLS first: all of them,
+        [B, 1+N, D], or with `cls_only` the CLS row alone, [B, 1, D], the
+        last block dropping the patch rows once its keys and values are
+        made."""
         cfg, p = self.cfg, self.params
         patches = images_to_patches(np.asarray(images), cfg)
         x = T.Tensor(patches.astype(p["patch_proj.weight"].dtype, copy=False))
@@ -143,9 +148,12 @@ class VitEncoder:
         x = x + p["pos_embed"]
         for i in range(cfg.depth):
             pre = f"blocks.{i}."
+            queries = 1 if cls_only and i == cfg.depth - 1 else None
             h = T.layernorm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"], self.LN_EPS)
             h = T.attention(T.linear(h, p[pre + "attn.qkv.weight"], p[pre + "attn.qkv.bias"]),
-                            cfg.heads)
+                            cfg.heads, queries)
+            if queries:
+                x = T.narrow(x, 1, 0, queries)  # [B,1,D] from here on
             x = x + T.linear(h, p[pre + "attn.proj.weight"], p[pre + "attn.proj.bias"])
             h = T.layernorm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"], self.LN_EPS)
             h = T.gelu(T.linear(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"]))
@@ -158,11 +166,9 @@ class VitEncoder:
 
     def forward(self, images: np.ndarray) -> T.Tensor:
         """CLS embeddings [B, D]."""
-        x = self._tokens(images)
-        return T.reshape(T.narrow(x, 1, 0, 1), (x.shape[0], self.cfg.embed_dim))
+        x = self._tokens(images, cls_only=True)
+        return T.reshape(x, (x.shape[0], self.cfg.embed_dim))
 
-    def forward_tokens(self, images: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
-        """Returns (cls [B,D], patch tokens [B,N,D]) after the final layernorm."""
-        x = self._tokens(images)
-        cls_out = T.reshape(T.narrow(x, 1, 0, 1), (x.shape[0], self.cfg.embed_dim))
-        return cls_out, T.narrow(x, 1, 1, self.cfg.num_patches)
+    def forward_tokens(self, images: np.ndarray) -> T.Tensor:
+        """Patch tokens [B, N, D] after the final layernorm."""
+        return T.narrow(self._tokens(images, cls_only=False), 1, 1, self.cfg.num_patches)

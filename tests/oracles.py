@@ -342,22 +342,27 @@ def reference_dino_loss(student_logits: list[T.Tensor], targets: list[np.ndarray
 
 
 def reference_attention(tokens: T.Tensor, qkv_w: T.Tensor, qkv_b: T.Tensor,
-                        proj_w: T.Tensor, proj_b: T.Tensor, heads: int) -> T.Tensor:
+                        proj_w: T.Tensor, proj_b: T.Tensor, heads: int,
+                        queries: int | None = None) -> T.Tensor:
     """Multi-head self-attention over [B, T, D] tokens, composed from the
     generic primitives one step at a time: the form the fused
-    ``T.linear``/``T.attention`` records must match bit for bit."""
+    ``T.linear``/``T.attention`` records must match bit for bit. With
+    ``queries=n``, q is narrowed to the first n tokens: [B, n, D] out."""
     b, t, d = tokens.shape
+    n = t if queries is None else queries
     dh = d // heads
     qkv = T.matmul(tokens, qkv_w) + qkv_b  # [B,T,3D]
     qkv = T.reshape(qkv, (b, t, 3, heads, dh))
     qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # [3,B,h,T,dh]
     q = T.reshape(T.narrow(qkv, 0, 0, 1), (b, heads, t, dh))
+    if n < t:
+        q = T.narrow(q, 2, 0, n)  # [B,h,n,dh]
     k = T.reshape(T.narrow(qkv, 0, 1, 1), (b, heads, t, dh))
     v = T.reshape(T.narrow(qkv, 0, 2, 1), (b, heads, t, dh))
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     attn = reference_softmax(scores)
-    ctx = T.matmul(attn, v)  # [B,h,T,dh]
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+    ctx = T.matmul(attn, v)  # [B,h,n,dh]
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
     return T.matmul(ctx, proj_w) + proj_b
 
 

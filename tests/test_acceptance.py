@@ -112,6 +112,16 @@ def _case_attention(rng):
     return [qkv], lambda ts: _weighted_sum(T.attention(ts[0], heads), w)
 
 
+def _case_attention_one_query(rng):
+    # the encoder's last block: a query for token 0 only, keys and values
+    # from every token
+    heads = int(rng.integers(1, 3))
+    d = heads * int(rng.integers(2, 4))
+    qkv = _t(rng, (2, 4, 3 * d))
+    w = rng.normal(size=(2, 1, d))
+    return [qkv], lambda ts: _weighted_sum(T.attention(ts[0], heads, 1), w)
+
+
 def _case_transpose(rng):
     a = _t(rng, (2, 3, 4))
     axes = tuple(int(i) for i in rng.permutation(3))
@@ -225,7 +235,11 @@ PRIMITIVE_CASES = {
     "l2_normalize": _case_l2_normalize,
     "linear": _case_linear,
     "attention": _case_attention,
+    "attention_one_query": _case_attention_one_query,
 }
+
+# rows that check a primitive under another name
+PRIMITIVE_OF_CASE = {"sum": "tensor_sum", "attention_one_query": "attention"}
 
 CASES_PER_PRIMITIVE = 20
 
@@ -234,7 +248,7 @@ def test_gradient_suite_covers_every_primitive():
     public = {name for name, obj in vars(T).items()
               if inspect.isfunction(obj) and obj.__module__ == T.__name__
               and not name.startswith("_")}
-    covered = {"tensor_sum" if name == "sum" else name for name in PRIMITIVE_CASES}
+    covered = {PRIMITIVE_OF_CASE.get(name, name) for name in PRIMITIVE_CASES}
     assert covered == public - {"active_tape"}
 
 
@@ -289,7 +303,7 @@ def test_criterion_01_gradient_suite():
 
     ok = worst_primitive < 1e-4 and worst_composite < 1e-3 and elapsed < 60.0
     record(1, "gradient suite", ok,
-           f"{len(PRIMITIVE_CASES)} primitives x {CASES_PER_PRIMITIVE} cases, "
+           f"{len(PRIMITIVE_CASES)} primitive forms x {CASES_PER_PRIMITIVE} cases, "
            f"worst {worst_primitive:.2e} ({worst_name}) < 1e-4; composite x20 "
            f"worst {worst_composite:.2e} < 1e-3; {elapsed:.1f}s < 60s")
 
@@ -601,8 +615,7 @@ def test_criterion_10_pca_map():
     ortho_worst, solver_worst = 0.0, 0.0
     for s in samples[:6]:
         img = s.image.pixels.astype(np.float32) / 255.0
-        _, patch_tokens = encoder.forward_tokens(img[None])
-        tokens = patch_tokens.data[0].astype(np.float64)
+        tokens = encoder.forward_tokens(img[None]).data[0].astype(np.float64)
         comps, variances, mean = top_components(tokens, 3)
         gram = comps @ comps.T
         ortho_worst = max(ortho_worst,

@@ -250,6 +250,37 @@ class TestFusedOps:
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,heads", [(16, 2), (48, 4)])
+    @pytest.mark.parametrize("queries", [1, 3])
+    def test_attention_with_fewer_queries_matches_reference_bitwise(
+            self, rng, dtype, d, heads, queries):
+        # q from the first tokens only, k and v from all five; the q
+        # gradient of the other tokens is exactly 0
+        inputs = _attention_inputs(rng, dtype, d, heads)
+        upstream = rng.normal(size=(2, queries, d)).astype(dtype)
+
+        def fused(ts):
+            qkv = T.linear(ts[0], ts[1], ts[2])
+            return T.linear(T.attention(qkv, heads, queries), ts[3], ts[4])
+
+        want = _forward_backward(lambda ts: reference_attention(*ts, heads, queries),
+                                 inputs, upstream.copy())
+        got = _forward_backward(fused, inputs, upstream.copy())
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        qkv = T.Tensor(rng.normal(size=(2, 5, 3 * d)).astype(dtype), requires_grad=True)
+        _forward_backward(lambda ts: T.attention(ts[0], heads, queries), [qkv],
+                          upstream.copy())
+        assert not qkv.grad[:, queries:, :d].any()
+        assert qkv.grad[:, :, d:].all()
+
+    @pytest.mark.parametrize("queries", [0, 6])
+    def test_attention_rejects_queries_outside_tokens(self, queries):
+        with pytest.raises(T.DimensionError, match="queries"):
+            T.attention(T.Tensor(np.zeros((1, 5, 12))), 2, queries)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
     def test_linear_matches_matmul_plus_bias_bitwise(self, rng, dtype, x_shape):
         inputs = [T.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
@@ -272,13 +303,15 @@ class TestFusedOps:
         for w, g in zip(want, got):
             assert g.dtype == dtype and g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("op", ["gelu", "linear2d", "linear3d", "attention"])
+    @pytest.mark.parametrize("op", ["gelu", "linear2d", "linear3d", "attention",
+                                    "attention1"])
     def test_inputs_and_upstream_grad_stay_untouched(self, rng, op):
         # in-place work may touch only the buffers an op allocates itself
         if op == "gelu":
             shapes, fn = [(3, 7)], lambda ts: T.gelu(ts[0])
-        elif op == "attention":
-            shapes, fn = [(2, 5, 24)], lambda ts: T.attention(ts[0], 2)
+        elif op.startswith("attention"):
+            queries = 1 if op == "attention1" else None
+            shapes, fn = [(2, 5, 24)], lambda ts: T.attention(ts[0], 2, queries)
         else:
             x_shape = (6, 4) if op == "linear2d" else (2, 3, 4)
             shapes, fn = [x_shape, (4, 5), (5,)], lambda ts: T.linear(*ts)

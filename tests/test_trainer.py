@@ -549,6 +549,22 @@ class TestPersistence:
         for k in state.moments_m:
             np.testing.assert_array_equal(state.moments_m[k], back.moments_m[k])
 
+    def test_load_draws_nothing_and_resaves_the_same_bytes(self, tmp_path, monkeypatch):
+        imgs = noise_images()
+        cfg = tiny_train_cfg(iterations=5)
+        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        train_step(state, sample_batch(imgs, TINY_CROP, cfg, 0))
+        path, again = str(tmp_path / "state.rdck"), str(tmp_path / "again.rdck")
+        save_train_state(path, state)
+
+        def no_draw(*args):
+            raise AssertionError("load_train_state drew a random initialisation")
+
+        monkeypatch.setattr(trainer_mod, "init_vit_params", no_draw)
+        monkeypatch.setattr(trainer_mod, "init_head_params", no_draw)
+        save_train_state(again, load_train_state(path, TINY_SSL, cfg))
+        assert filecmp.cmp(path, again, shallow=False)
+
     def test_exported_teacher_reproduces_outputs(self, tmp_path):
         imgs = noise_images()
         cfg = tiny_train_cfg(iterations=3)
