@@ -17,9 +17,9 @@ from .synthetic import SynthConfig
 from .trainer import TrainConfig
 from .vit import VitConfig
 
-# Each section's keys are the fields of its dataclass, with their defaults,
-# except that run.seed sets `seed`, crop.global_scale_lo/hi are the two ends
-# of `global_scale`, and `in_channels` is not a key.
+# Each section's keys are its dataclass's fields, with their defaults, except
+# that run.seed sets `seed`, vit.image_size sets `global_size`, the two ends of
+# `global_scale` are crop.global_scale_lo/hi, and `in_channels` is not a key.
 _SECTIONS = {"vit": VitConfig, "ssl": SslConfig, "train": TrainConfig,
              "crop": CropSpec, "synth": SynthConfig}
 
@@ -30,7 +30,7 @@ def _section_defaults() -> dict[str, object]:
         for f in fields(cls):
             if f.name == "global_scale":
                 out["crop.global_scale_lo"], out["crop.global_scale_hi"] = f.default
-            elif f.name not in ("seed", "in_channels"):
+            elif f.name not in ("seed", "in_channels", "global_size"):
                 out[f"{section}.{f.name}"] = f.default
     return out
 
@@ -103,6 +103,7 @@ class RunConfig:
               if k.startswith(section + ".")}
         if section == "crop":
             kw["global_scale"] = (kw.pop("global_scale_lo"), kw.pop("global_scale_hi"))
+            kw["global_size"] = self.get("vit.image_size")
         if "seed" in {f.name for f in fields(cls)}:
             kw["seed"] = self.get("run.seed")
         return cls(**kw)

@@ -70,10 +70,9 @@ def init_head_params(cfg: SslConfig, embed_dim: int,
     w = {name: np.zeros(shape, dtype=np.float32) if name.endswith(".bias")
          else truncated_normal(rng, shape)
          for name, shape in head_param_shapes(cfg, embed_dim).items()}
-    protos = w["prototypes"].astype(np.float64)
-    norms = np.linalg.norm(protos, axis=1, keepdims=True)
-    w["prototypes"] = (protos / np.maximum(norms, 1e-12)).astype(np.float32)
-    return {k: T.Tensor(v, requires_grad=True) for k, v in w.items()}
+    params = {k: T.Tensor(v, requires_grad=True) for k, v in w.items()}
+    renormalize_prototypes(params)
+    return params
 
 
 def head_forward(params: dict[str, T.Tensor], x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
@@ -198,13 +197,11 @@ def koleo_loss(z: T.Tensor, eps: float = 1e-8) -> T.Tensor:
 
 
 def total_loss(student_logits: T.Tensor, targets: np.ndarray, cfg: SslConfig,
-               student_z: T.Tensor | None = None) -> T.Tensor:
+               student_z: T.Tensor) -> T.Tensor:
     """The view-pair cross-entropy, plus the spread term of each view's
     bottleneck rows of `student_z` [2B, bottleneck] when koleo_weight > 0."""
     loss = dino_loss(student_logits, targets, cfg.student_temp)
     if cfg.koleo_weight > 0:
-        if student_z is None:
-            raise ParameterError("koleo_weight > 0 but no student bottlenecks given")
         b = student_z.shape[0] // 2
         reg = (koleo_loss(T.narrow(student_z, 0, 0, b))
                + koleo_loss(T.narrow(student_z, 0, b, b)))

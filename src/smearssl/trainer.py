@@ -340,10 +340,6 @@ def load_encoder(path: str) -> VitEncoder:
     return VitEncoder(cfg, params={k: T.Tensor(v) for k, v in blobs.items()})
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def keep_freed_memory() -> None:
     """Pins glibc's malloc thresholds (trim 256 MB, mmap 32 MB) so a step's
     freed temporaries are reused by the next step instead of going back to
@@ -367,37 +363,43 @@ def train(images: list[np.ndarray], vit_cfg: VitConfig, ssl_cfg: SslConfig,
           train_cfg: TrainConfig, crop: CropSpec, out_dir: str,
           resume: bool = False) -> TrainState:
     """Full run: optimize, then write `checkpoint.rdck` (teacher encoder),
-    `state.rdck` (resumable full state), and `loss_log.csv`."""
+    `state.rdck` (resumable full state), and `loss_log.csv`. A resume refuses
+    a `vit_cfg` other than its state's; a refused run writes nothing."""
+    if not images:
+        raise InputError("empty training set")
+    if crop.global_size != vit_cfg.image_size:
+        raise DimensionError(f"crop side {crop.global_size} is not vit.image_size "
+                             f"{vit_cfg.image_size}")
     keep_freed_memory()
-    os.makedirs(out_dir, exist_ok=True)
     state_path = os.path.join(out_dir, "state.rdck")
-    log_path = os.path.join(out_dir, "loss_log.csv")
 
     if resume:
         if not os.path.exists(state_path):
             raise InputError(f"cannot resume: {state_path} not found")
         state = load_train_state(state_path, ssl_cfg, train_cfg)
+        differ = [f"vit.{k} is {v} there, {getattr(vit_cfg, k)} here"
+                  for k, v in vars(state.vit_cfg).items() if getattr(vit_cfg, k) != v]
+        if differ:
+            raise InputError(f"{state_path}: another encoder: " + "; ".join(differ))
         log.info("resuming at iteration %d", state.iteration)
-        log_mode = "a"
     else:
         state = init_train_state(vit_cfg, ssl_cfg, train_cfg)
-        log_mode = "w"
 
     if state.iteration > train_cfg.iterations:
         raise ParameterError(
             f"saved state is at iteration {state.iteration}, past the "
             f"requested {train_cfg.iterations}")
 
-    with open(log_path, log_mode) as fh:
-        if log_mode == "w":
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "loss_log.csv"), "a" if resume else "w") as fh:
+        if not resume:
             fh.write("iter,loss,lr,teacher_momentum\n")
         while state.iteration < train_cfg.iterations:
             it = state.iteration
             sched = schedule(it, train_cfg)
             views = sample_batch(images, crop, train_cfg, it)
             value = train_step(state, views)
-            fh.write(f"{it},{_format_float(value)},{_format_float(sched['lr'])},"
-                     f"{_format_float(sched['m_t'])}\n")
+            fh.write(f"{it},{value!r},{sched['lr']!r},{sched['m_t']!r}\n")
             if (it + 1) % 50 == 0 or it == 0:
                 log.info("iter %d loss %.4f lr %.2e", it, value, sched["lr"])
 

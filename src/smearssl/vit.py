@@ -126,8 +126,6 @@ class VitEncoder:
     not bit for bit, since BLAS rounds a one-row product differently from
     the same row inside a longer one."""
 
-    LN_EPS = 1e-6
-
     def __init__(self, cfg: VitConfig, params: dict[str, T.Tensor]):
         self.cfg = cfg
         self.params = params
@@ -149,18 +147,18 @@ class VitEncoder:
         for i in range(cfg.depth):
             pre = f"blocks.{i}."
             queries = 1 if cls_only and i == cfg.depth - 1 else None
-            h = T.layernorm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"], self.LN_EPS)
+            h = T.layernorm(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
             h = T.attention(T.linear(h, p[pre + "attn.qkv.weight"], p[pre + "attn.qkv.bias"]),
                             cfg.heads, queries)
             if queries:
                 x = T.narrow(x, 1, 0, queries)  # [B,1,D] from here on
             x = x + T.linear(h, p[pre + "attn.proj.weight"], p[pre + "attn.proj.bias"])
-            h = T.layernorm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"], self.LN_EPS)
+            h = T.layernorm(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
             h = T.gelu(T.linear(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"]))
             h = T.linear(h, p[pre + "mlp.fc2.weight"], p[pre + "mlp.fc2.bias"])
             x = x + h
             x.check_finite(f"encoder block {i} output")
-        x = T.layernorm(x, p["final_ln.gain"], p["final_ln.bias"], self.LN_EPS)
+        x = T.layernorm(x, p["final_ln.gain"], p["final_ln.bias"])
         x.check_finite("final layernorm output")
         return x
 

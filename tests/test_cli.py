@@ -313,7 +313,7 @@ class TestConfigPlumbing:
         assert back.values == cfg.values
 
     def test_resolved_defaults_match_golden(self):
-        # Pins all 58 keys and, through their formatting, their types:
+        # Pins all 57 keys and, through their formatting, their types:
         # floats print with a point.
         with open(os.path.join(GOLDEN_DIR, "config.resolved")) as fh:
             assert RunConfig().resolved_text() == fh.read()
@@ -363,10 +363,11 @@ class TestConfigPlumbing:
         assert resolved.get("run.seed") == 2
 
     def test_unknown_key_in_config_file(self, tmp_path, capsys):
-        # the removed multi-crop and determinism keys are refused like any
-        # other unknown key, also in a config.resolved written before
+        # the removed multi-crop, determinism and crop-side keys are refused
+        # like any other unknown key, also in a config.resolved written before
         cfg_file = tmp_path / "bad.cfg"
-        for key in ("not.a_key", "crop.local_crops", "train.deterministic"):
+        for key in ("not.a_key", "crop.local_crops", "train.deterministic",
+                    "crop.global_size"):
             cfg_file.write_text(f"synth.n_images = 3\n{key} = 1\n")
             rc, _, err = run_cli(["gen-synthetic", "--config", str(cfg_file),
                                   "--out", str(tmp_path / "d")], capsys)
@@ -495,6 +496,56 @@ class TestTrainCommands:
                 "expects (12, 8)") in err
         assert (out / "state.rdck").read_bytes() == state
         assert (out / "config.resolved").read_text() == resolved
+
+    def test_resume_with_another_encoder_is_validation_error(self, dataset,
+                                                             tmp_path, capsys):
+        # the state owns a resumed run's encoder; another one is refused, not
+        # silently replaced and then recorded in config.resolved
+        out = tmp_path / "run"
+        argv = ["train", "--manifest", str(dataset / "manifest.csv"),
+                "--out", str(out), "--iterations", "2", "--batch-size", "2"]
+        rc, _, _ = run_cli(argv + tiny_args(), capsys)
+        assert rc == 0
+        state = (out / "state.rdck").read_bytes()
+        resolved = (out / "config.resolved").read_text()
+        log = (out / "loss_log.csv").read_text()
+
+        rc, _, err = run_cli(argv + tiny_args(["--resume", "--set", "vit.depth=5"]),
+                             capsys)
+        assert rc == 1
+        assert "vit.depth is 1 there, 5 here" in err
+        assert (out / "state.rdck").read_bytes() == state
+        assert (out / "config.resolved").read_text() == resolved
+        assert (out / "loss_log.csv").read_text() == log
+
+    def test_train_at_another_image_size(self, dataset, tmp_path, capsys):
+        # crops come out at vit.image_size, so one key changes the side
+        out = tmp_path / "run"
+        rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
+                              "--out", str(out), "--iterations", "2",
+                              "--batch-size", "2", "--set", "vit.image_size=32"]
+                             + tiny_args(), capsys)
+        assert rc == 0, err
+        assert load_config(str(out / "config.resolved")).get("vit.image_size") == 32
+        assert load_encoder(str(out / "checkpoint.rdck")).cfg.image_size == 32
+        assert len((out / "loss_log.csv").read_text().splitlines()) == 3
+
+    def test_crop_side_key_is_gone(self, dataset, tmp_path, capsys):
+        rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
+                              "--out", str(tmp_path / "o"),
+                              "--set", "crop.global_size=64"], capsys)
+        assert rc == 1
+        assert "unknown config key: crop.global_size" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_manifest_writes_nothing(self, tmp_path, capsys):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("path,kind,source_id,label\n")
+        rc, _, err = run_cli(["train", "--manifest", str(manifest),
+                              "--out", str(tmp_path / "o")], capsys)
+        assert rc == 1
+        assert "empty training set" in err
+        assert not (tmp_path / "o").exists()
 
     def test_train_missing_manifest_is_validation_error(self, tmp_path, capsys):
         rc, _, err = run_cli(["train", "--manifest",

@@ -14,7 +14,8 @@ from smearssl.augment import CropSpec, multicrop
 from oracles import reference_write_checkpoint
 from smearssl.checkpoint import (_decode_config, _encode_config, read_checkpoint,
                                  write_checkpoint)
-from smearssl.errors import DimensionError, InputError, NumericError, ParameterError
+from smearssl.errors import (DimensionError, InputError, NumericError, ParameterError,
+                             ValidationError)
 from smearssl.objective import (CenteringState, SslConfig, head_forward,
                                 teacher_targets_multiview, total_loss)
 from smearssl.trainer import (
@@ -531,6 +532,27 @@ class TestTrainEndToEnd:
         with pytest.raises(InputError):
             train(noise_images(), TINY_VIT, TINY_SSL, tiny_train_cfg(),
                   TINY_CROP, str(tmp_path / "missing"), resume=True)
+        assert not (tmp_path / "missing").exists()
+
+    def test_crop_side_other_than_encoder_refused_before_writing(self, tmp_path):
+        crop = dataclasses.replace(TINY_CROP, global_size=32)
+        with pytest.raises(ValidationError, match="crop side 32 is not "
+                           "vit.image_size 16"):
+            train(noise_images(), TINY_VIT, TINY_SSL, tiny_train_cfg(), crop,
+                  str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_with_another_encoder_refused(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tiny_train_cfg(iterations=2)
+        train(noise_images(), TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        deeper = dataclasses.replace(TINY_VIT, depth=2, heads=4)
+        with pytest.raises(InputError, match="vit.depth is 1 there, 2 here; "
+                           "vit.heads is 2 there, 4 here"):
+            train(noise_images(), deeper, TINY_SSL, tiny_train_cfg(iterations=4),
+                  TINY_CROP, str(out), resume=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestPersistence:
