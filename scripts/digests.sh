@@ -9,6 +9,13 @@
 # `eval-loso`, and a k=3 `eval-knn` and an `eval-linear` trained on source 0
 # and tested on source 1. Each evaluation's `--report` CSV is hashed, and so
 # is the report it prints (`emb/*.txt`: its stderr without the log lines).
+# A resume leg runs 3 iterations, resumes them to 6, and fails unless the
+# `state.rdck`, `checkpoint.rdck` and `loss_log.csv` equal a straight
+# 6-iteration run's byte for byte. Its schedule is flat (final_lr = base_lr,
+# no warmup, constant teacher momentum): the schedule is a function of
+# `--iterations`, so a 3-iteration run under the default one takes other
+# steps than the first 3 of a 6-iteration run. Its runs are compared, not
+# hashed.
 # It runs the `src/` of the checkout it sits in, so two checkouts' outputs
 # compare with one diff:
 #   diff <(scripts/digests.sh 0) <(../other/scripts/digests.sh 0)
@@ -31,6 +38,17 @@ smearssl() {
 
 smearssl gen-synthetic --out data --n-images 12 --sources 2 --classes 4 --seed "$SEED"
 smearssl train --manifest data/manifest.csv --out run --iterations 6 --seed "$SEED"
+FLAT=(--seed "$SEED" --set train.base_lr=0.001 --set train.final_lr=0.001
+      --set train.warmup_frac=0 --set train.teacher_momentum_start=0.996
+      --set train.teacher_momentum_end=0.996)
+smearssl train --manifest data/manifest.csv --out resume/straight --iterations 6 "${FLAT[@]}"
+smearssl train --manifest data/manifest.csv --out resume/resumed --iterations 3 "${FLAT[@]}"
+smearssl train --manifest data/manifest.csv --out resume/resumed --iterations 6 "${FLAT[@]}" \
+    --resume
+for f in state.rdck checkpoint.rdck loss_log.csv; do
+    cmp "resume/straight/$f" "resume/resumed/$f" \
+        || { echo "resume: $f differs from a straight run" >&2; exit 1; }
+done
 smearssl train --manifest data/manifest.csv --out run_ema --iterations 4 --seed "$SEED" \
     --set ssl.centering=ema --set ssl.koleo_weight=0.1
 FIRST=$(ls data/*.ppm | grep -v mask | head -1)

@@ -80,45 +80,41 @@ def write_checkpoint(path: str, cfg: VitConfig, params: dict[str, np.ndarray]) -
 
 
 def read_checkpoint(path: str) -> tuple[VitConfig, dict[str, np.ndarray]]:
+    """Reads each blob straight into the array it returns: the payload is
+    never held twice."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
-    try:
-        if raw[:4] != MAGIC:
-            raise InputError(f"{path}: not a checkpoint file (bad magic {raw[:4]!r})")
-        off = 4
-        (version,) = struct.unpack_from("<H", view, off)
-        off += 2
-        if version != VERSION:
-            raise InputError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack_from("<I", view, off)
-        off += 4
+        end = os.fstat(fh.fileno()).st_size
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
         try:
-            cfg = _decode_config(bytes(view[off:off + cfg_len]))
-        except ValidationError as exc:  # missing field or out-of-range value
-            raise InputError(f"{path}: {exc}") from None
-        off += cfg_len
-        (count,) = struct.unpack_from("<I", view, off)
-        off += 4
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", view, off)
-            off += 2
-            name = bytes(view[off:off + nlen]).decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", view, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", view, off)
-            off += 4 * ndim
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            nbytes = 4 * size
-            if off + nbytes > len(raw):
-                raise InputError(f"{path}: truncated blob {name!r}")
-            arr = np.frombuffer(view[off:off + nbytes], dtype="<f4").reshape(shape).copy()
-            off += nbytes
-            params[name] = arr
-        if off != len(raw):
-            raise InputError(f"{path}: {len(raw) - off} trailing bytes after last blob")
-        return cfg, params
-    except (struct.error, ValueError) as exc:  # short field or bad config text
-        raise InputError(f"{path}: corrupt checkpoint: {exc}") from None
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise InputError(f"{path}: not a checkpoint file (bad magic {magic!r})")
+            (version,) = unpack("<H")
+            if version != VERSION:
+                raise InputError(f"{path}: unsupported checkpoint version {version}")
+            (cfg_len,) = unpack("<I")
+            try:
+                cfg = _decode_config(fh.read(cfg_len))
+            except ValidationError as exc:  # missing field or out-of-range value
+                raise InputError(f"{path}: {exc}") from None
+            (count,) = unpack("<I")
+            params: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (nlen,) = unpack("<H")
+                name = fh.read(nlen).decode("utf-8")
+                (ndim,) = unpack("<B")
+                shape = unpack(f"<{ndim}I")
+                nbytes = 4 * int(np.prod(shape, dtype=np.int64))
+                if nbytes > end - fh.tell():
+                    raise InputError(f"{path}: truncated blob {name!r}")
+                arr = np.empty(shape, dtype="<f4")
+                fh.readinto(memoryview(arr.reshape(-1)).cast("B"))
+                params[name] = arr
+            if fh.tell() != end:
+                raise InputError(f"{path}: {end - fh.tell()} trailing bytes after last blob")
+            return cfg, params
+        except (struct.error, ValueError) as exc:  # short field or bad config text
+            raise InputError(f"{path}: corrupt checkpoint: {exc}") from None

@@ -10,6 +10,12 @@ a closure takes that gradient and holds only its op's math. An op records
 only when an input requires a gradient, so only a closure with several
 inputs tests which of them do.
 
+``backward`` consumes the tape: it drops each record as it runs it, so the
+arrays a record saved, and an output that no caller holds with its
+``.grad``, are freed once that record's backward is done. A tensor the
+caller still holds keeps its ``.grad``; the tape is empty afterwards, and a
+second ``backward`` on it runs no record.
+
 Broadcasting is restricted to leading-axis expansion: two operands may mix
 shapes only when one shape is a trailing suffix of the other (a scalar
 counts as the empty suffix). Anything else needs an explicit reshape.
@@ -26,6 +32,9 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+# elements per block of the blocked elementwise passes (256 KB of float32)
+_BLOCK = 1 << 16
 
 
 class Tensor:
@@ -98,7 +107,8 @@ class Tape:
 
     Use as a context manager; ops executed inside record themselves when any
     input requires a gradient. ``backward`` replays the records strictly in
-    reverse, so gradients for shared subexpressions accumulate by addition.
+    reverse, so gradients for shared subexpressions accumulate by addition,
+    and pops each record before running it.
     """
 
     def __init__(self):
@@ -121,7 +131,10 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         if root.grad is None:
             root.grad = np.ones_like(root.data)
-        for out, fn in reversed(self._records):
+        records = self._records
+        while records:
+            # rebinding drops the previous record, its closure and its output
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 
@@ -167,6 +180,14 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     return g
+
+
+def _blocks(*arrays: np.ndarray):
+    """Aligned flat views of equal-size C-contiguous arrays, _BLOCK elements
+    at a time; writes to a view land in its array."""
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _BLOCK):
+        yield [f[i:i + _BLOCK] for f in flat]
 
 
 def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -405,44 +426,61 @@ def sqrt(a: Tensor) -> Tensor:
     return _maybe_record(out, (a,), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation. Forward and backward work in place on
-    buffers they allocate, with the float ops of the written-out formula in
-    its order, so the bits match it."""
-    x = a.data
+def _gelu_inner(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_GELU_C * (x + 0.044715 * x^3) into ``out``."""
     # x * x * x, not x**3: numpy's float32 pow is generic and ~80x slower
-    inner = x * x
+    inner = np.multiply(x, x, out=out)
     inner *= x
     inner *= 0.044715
     inner += x
-    inner *= _GELU_C  # _GELU_C * (x + 0.044715 * x^3)
-    one_t = np.tanh(inner)
-    one_t += 1.0
-    y = x * 0.5
-    y *= one_t  # 0.5 * x * (1 + tanh(inner))
+    inner *= _GELU_C
+    return inner
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, tanh approximation. Forward and backward run block by block
+    with the float ops of the written-out formula in its order, so the bits
+    match it. The record keeps only the input: the backward recomputes the
+    tanh argument and 1 + tanh per block."""
+    x = np.asarray(a.data, order="C")
+    y = np.empty_like(x)
+    scratch = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
+    for xb, yb in _blocks(x, y):
+        one_t = scratch[:xb.size]
+        np.tanh(_gelu_inner(xb, one_t), out=one_t)
+        one_t += 1.0
+        np.multiply(xb, 0.5, out=yb)
+        yb *= one_t  # 0.5 * x * (1 + tanh(inner))
     out = Tensor(y)
 
     def backward(g):
-        dinner = x * x
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= _GELU_C
-        # 1 - t**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): float32 tanh
-        # can sit an ulp below 1 where 1 - t**2 is ~1e-8, and x * dinner
-        # magnifies that ulp ~30x at |x| = 8
-        e = np.abs(inner)
-        e *= -2.0
-        np.exp(e, out=e)
-        buf = e + 1.0
-        buf *= buf
-        e *= 4.0
-        e /= buf  # sech2
-        local = np.multiply(x, 0.5, out=buf)
-        local *= e
-        local *= dinner
-        local += np.multiply(one_t, 0.5, out=e)
-        local *= g  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
-        a.accumulate_grad(local, owned=True)
+        grad = np.empty_like(x)
+        scratch = np.empty((3, min(x.size, _BLOCK)), dtype=x.dtype)
+        for xb, gb, local in _blocks(x, g, grad):
+            inner, one_t, dinner = scratch[:, :xb.size]
+            _gelu_inner(xb, inner)
+            np.tanh(inner, out=one_t)
+            one_t += 1.0
+            np.multiply(xb, xb, out=dinner)
+            dinner *= 3 * 0.044715
+            dinner += 1.0
+            dinner *= _GELU_C
+            # 1 - t**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): float32 tanh
+            # can sit an ulp below 1 where 1 - t**2 is ~1e-8, and x * dinner
+            # magnifies that ulp ~30x at |x| = 8
+            e = np.abs(inner, out=inner)
+            e *= -2.0
+            np.exp(e, out=e)
+            np.add(e, 1.0, out=local)
+            local *= local
+            e *= 4.0
+            e /= local  # sech2
+            np.multiply(xb, 0.5, out=local)
+            local *= e
+            local *= dinner
+            local += np.multiply(one_t, 0.5, out=e)
+            local *= gb  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
+        a.accumulate_grad(grad, owned=True)
 
     return _maybe_record(out, (a,), backward)
 

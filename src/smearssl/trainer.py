@@ -34,9 +34,6 @@ ADAM_EPS = 1e-8
 _STREAM_BATCH = 1
 _STREAM_AUG = 2
 
-# elements per block of the in-place AdamW and EMA updates (256 KB of float32)
-_BLOCK = 1 << 16
-
 # state.rdck keeps the iteration in a float32 blob, exact up to 2**24
 MAX_ITERATIONS = 2**24
 
@@ -94,14 +91,6 @@ def schedule(iteration: int, cfg: TrainConfig) -> dict[str, float]:
     return {"lr": lr, "m_t": m_t}
 
 
-def _blocks(*arrays: np.ndarray):
-    """Aligned flat views of equal-size C-contiguous arrays, _BLOCK elements
-    at a time; writes to a view land in its array."""
-    flat = [a.reshape(-1) for a in arrays]
-    for i in range(0, flat[0].size, _BLOCK):
-        yield [f[i:i + _BLOCK] for f in flat]
-
-
 def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
                m_t: float) -> None:
     """t' = m_t * t + (1 - m_t) * s per scalar, in place as
@@ -110,7 +99,7 @@ def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
     bit-exact."""
     if teacher.keys() != student.keys():
         raise DimensionError("teacher/student parameter names differ")
-    scratch = np.empty(_BLOCK, dtype=np.float32)
+    scratch = np.empty(T._BLOCK, dtype=np.float32)
     for name, t in teacher.items():
         s = student[name]
         if t.data.shape != s.data.shape:
@@ -121,7 +110,7 @@ def ema_update(teacher: dict[str, T.Tensor], student: dict[str, T.Tensor],
         if m_t == 0.0:
             t.data = s.data.copy()
             continue
-        for tb, sb in _blocks(t.data, s.data):
+        for tb, sb in T._blocks(t.data, s.data):
             step = np.subtract(sb, tb, out=scratch[:tb.size])
             step *= 1.0 - m_t
             tb += step
@@ -153,11 +142,14 @@ class TrainState:
         return out
 
 
-def _new_state(vit_cfg: VitConfig, ssl_cfg: SslConfig, train_cfg: TrainConfig,
-               student_params: dict[str, T.Tensor],
-               student_head: dict[str, T.Tensor]) -> TrainState:
-    """A state at iteration 0 around these student parameters: the teacher
-    is a copy of them, the moments and the center are zero."""
+def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
+                     train_cfg: TrainConfig) -> TrainState:
+    """A state at iteration 0: freshly drawn student parameters, a teacher
+    that is a copy of them, zero moments and a zero center."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [train_cfg.seed, 0])))
+    student_params = init_vit_params(vit_cfg, rng)
+    student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
     teacher_params = {k: T.Tensor(v.data.copy()) for k, v in student_params.items()}
     teacher_head = {k: T.Tensor(v.data.copy()) for k, v in student_head.items()}
     state = TrainState(
@@ -173,15 +165,6 @@ def _new_state(vit_cfg: VitConfig, ssl_cfg: SslConfig, train_cfg: TrainConfig,
         state.moments_m[name] = np.zeros_like(p.data)
         state.moments_v[name] = np.zeros_like(p.data)
     return state
-
-
-def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
-                     train_cfg: TrainConfig) -> TrainState:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [train_cfg.seed, 0])))
-    student_params = init_vit_params(vit_cfg, rng)
-    student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
-    return _new_state(vit_cfg, ssl_cfg, train_cfg, student_params, student_head)
 
 
 def _iteration_rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
@@ -213,15 +196,15 @@ def _adamw_step(state: TrainState, lr: float) -> None:
     t = state.iteration + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    scratch = np.empty(_BLOCK, dtype=np.float32)
+    scratch = np.empty(T._BLOCK, dtype=np.float32)
     for name, p in state.student_params().items():
         g = p.grad
         if g is None:
             continue
         p.grad = None
         decay = cfg.weight_decay > 0 and p.data.ndim >= 2
-        for pb, gb, m, v in _blocks(p.data, g, state.moments_m[name],
-                                    state.moments_v[name]):
+        for pb, gb, m, v in T._blocks(p.data, g, state.moments_m[name],
+                                      state.moments_v[name]):
             buf = np.multiply(gb, 1 - ADAM_BETA1, out=scratch[:gb.size])
             m *= ADAM_BETA1
             m += buf
@@ -281,8 +264,8 @@ _STATE_META = "meta.counters"
 
 
 def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
-    """`state.rdck`'s blobs in write order; params, moments and the center
-    are not copies, so `load_train_state` fills them in place."""
+    """`state.rdck`'s blobs in write order, the state's own arrays; the
+    names and order are the ones `load_train_state` checks for."""
     blobs: dict[str, np.ndarray] = {}
     for name, p in state.student_params().items():
         blobs[f"student.{name}"] = p.data
@@ -304,26 +287,39 @@ def save_train_state(path: str, state: TrainState) -> None:
 def load_train_state(path: str, ssl_cfg: SslConfig,
                      train_cfg: TrainConfig) -> TrainState:
     """Raises InputError unless the file holds every blob that a state
-    built from these configs has, each in that state's shape."""
+    built from these configs has, each in that state's shape. The state
+    adopts the arrays the file was read into."""
     vit_cfg, blobs = read_checkpoint(path)
-
-    def zeros(shapes):
-        return {k: T.Tensor(np.zeros(s, dtype=np.float32), requires_grad=True)
-                for k, s in shapes.items()}
-
-    # every array is overwritten below, so nothing is drawn
-    state = _new_state(vit_cfg, ssl_cfg, train_cfg, zeros(vit_param_shapes(vit_cfg)),
-                       zeros(head_param_shapes(ssl_cfg, vit_cfg.embed_dim)))
-    for name, want in _state_blobs(state).items():
+    encoder = vit_param_shapes(vit_cfg)
+    head = head_param_shapes(ssl_cfg, vit_cfg.embed_dim)
+    params = {f"encoder.{k}": s for k, s in encoder.items()}
+    params.update({f"head.{k}": s for k, s in head.items()})
+    want = {f"{group}.{k}": s for group in ("student", "teacher", "adam.m", "adam.v")
+            for k, s in params.items()}
+    want["center"] = (ssl_cfg.num_prototypes,)
+    want[_STATE_META] = (1,)
+    for name, shape in want.items():
         if name not in blobs:
             raise InputError(f"{path}: not a training state for this config: "
                              f"blob {name!r} is missing")
-        if blobs[name].shape != want.shape:
+        if blobs[name].shape != shape:
             raise InputError(f"{path}: blob {name!r} has shape {blobs[name].shape}, "
-                             f"this config expects {want.shape}")
-        want[...] = blobs[name]
-    state.iteration = int(blobs[_STATE_META][0])
-    return state
+                             f"this config expects {shape}")
+
+    def tensors(prefix: str, shapes, requires_grad: bool = False) -> dict[str, T.Tensor]:
+        return {k: T.Tensor(blobs[prefix + k], requires_grad) for k in shapes}
+
+    return TrainState(
+        vit_cfg=vit_cfg, ssl_cfg=ssl_cfg, train_cfg=train_cfg,
+        student_enc=VitEncoder(vit_cfg, params=tensors("student.encoder.", encoder, True)),
+        student_head=tensors("student.head.", head, True),
+        teacher_enc=VitEncoder(vit_cfg, params=tensors("teacher.encoder.", encoder)),
+        teacher_head=tensors("teacher.head.", head),
+        moments_m={k: blobs[f"adam.m.{k}"] for k in params},
+        moments_v={k: blobs[f"adam.v.{k}"] for k in params},
+        centering=CenteringState(blobs["center"]),
+        iteration=int(blobs[_STATE_META][0]),
+    )
 
 
 def export_teacher(path: str, state: TrainState) -> None:

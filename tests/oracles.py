@@ -9,6 +9,7 @@ hand-rolled confusion matrices. Slow is fine; these only run in tests.
 import io
 import math
 import struct
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -19,6 +20,19 @@ from smearssl.errors import InputError
 from smearssl.synthetic import (_BG_BASE, _CELL_BASE, _ECC_BANDS, _PIGMENT,
                                 _RING_COLOR, CLASS_NAMES)
 from smearssl.vit import VitConfig, VitEncoder, init_vit_params
+
+
+def traced_memory(fn):
+    """Runs ``fn()`` under tracemalloc; returns its result and the traced
+    bytes it left allocated and at its peak, both above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, now - base, peak - base
 
 
 def finite_diff_grad(fn, tensors: list[T.Tensor], h: float = 1e-5,

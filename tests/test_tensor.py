@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smearssl.tensor as T
-from oracles import grad_check, reference_attention, reference_gelu, reference_softmax
+from oracles import (grad_check, reference_attention, reference_gelu, reference_softmax,
+                     traced_memory)
 from smearssl.objective import softmax_np
 
 
@@ -303,6 +304,32 @@ class TestFusedOps:
         for w, g in zip(want, got):
             assert g.dtype == dtype and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_gelu_across_blocks_matches_written_out_formula_bitwise(
+            self, rng, dtype, strided):
+        # several whole blocks and a ragged last one; a strided input is
+        # read through a contiguous copy
+        n = 3 * T._BLOCK + 1234
+        wide = rng.normal(0.0, 3.0, size=(n, 2 if strided else 1)).astype(dtype)
+        x = wide[:, 0] if strided else wide.reshape(n)
+        assert x.flags.c_contiguous is not strided
+        upstream = rng.normal(size=n).astype(dtype)
+        want = reference_gelu(x, upstream)
+        got = _forward_backward(lambda ts: T.gelu(ts[0]),
+                                [T.Tensor(x, requires_grad=True)], upstream.copy())
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+    def test_gelu_record_keeps_only_its_output(self, rng):
+        # the backward recomputes the tanh argument and 1 + tanh, so the
+        # forward leaves one new array alive: its output
+        x = T.Tensor(rng.normal(size=1 << 18).astype(np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            out, kept, _ = traced_memory(lambda: T.gelu(x))
+        assert len(tape) == 1 and out.data.nbytes == x.data.nbytes
+        assert x.data.nbytes <= kept < 1.5 * x.data.nbytes
+
     @pytest.mark.parametrize("op", ["gelu", "linear2d", "linear3d", "attention",
                                     "attention1"])
     def test_inputs_and_upstream_grad_stay_untouched(self, rng, op):
@@ -395,6 +422,36 @@ class TestTapeMechanics:
         with T.Tape() as tape:
             out = op(x)
         assert len(tape) == 0 and out.requires_grad is False
+
+    def test_backward_frees_each_record_once_it_has_run(self, rng):
+        # eight elementwise records over 1 MB; only x and the root are held,
+        # so each intermediate and its gradient go as soon as their records
+        # have run, and the backward never holds more than a few arrays
+        x = T.Tensor(rng.normal(size=1 << 18).astype(np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            h = x
+            for i in range(8):
+                h = T.neg(h) if i % 2 else T.mul(h, 1.5)
+            root = T.tensor_sum(h)
+            del h
+        assert len(tape) == 9
+        _, kept, peak = traced_memory(lambda: tape.backward(root))
+        assert len(tape) == 0
+        assert kept < 1.5 * x.data.nbytes  # x.grad alone
+        assert peak < 4 * x.data.nbytes
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 1.5**4, np.float32))
+
+    def test_backward_consumes_the_tape(self, rng):
+        # a held tensor keeps its gradient; a second backward runs no record
+        x = t64(rng.normal(size=3))
+        with T.Tape() as tape:
+            y = T.mul(x, x)
+            root = T.tensor_sum(y)
+            tape.backward(root)
+            tape.backward(root)
+        assert len(tape) == 0
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
     def test_backward_on_nonscalar_seeds_ones(self, rng):
         x = t64(rng.normal(size=(2, 2)))

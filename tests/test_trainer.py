@@ -11,7 +11,7 @@ import pytest
 import smearssl.tensor as T
 import smearssl.trainer as trainer_mod
 from smearssl.augment import CropSpec, multicrop
-from oracles import reference_write_checkpoint
+from oracles import reference_write_checkpoint, traced_memory
 from smearssl.checkpoint import (_decode_config, _encode_config, read_checkpoint,
                                  write_checkpoint)
 from smearssl.errors import (DimensionError, InputError, NumericError, ParameterError,
@@ -148,7 +148,7 @@ class TestEmaUpdate:
     def test_blocked_update_bit_identical_to_whole_array_formula(
             self, monkeypatch, rng, block, m_t):
         if block is not None:
-            monkeypatch.setattr(trainer_mod, "_BLOCK", block)
+            monkeypatch.setattr(T, "_BLOCK", block)
         shapes = {"w": (300, 700), "b": (5,), "one": (1,), "cube": (3, 4, 9)}
         t = {k: T.Tensor(rng.normal(size=sh).astype(np.float32))
              for k, sh in shapes.items()}
@@ -212,14 +212,14 @@ class TestAdamW:
 
     def test_ragged_blocks_bit_identical_to_formula(self, monkeypatch, rng):
         # no tiny-config tensor size is a multiple of 7: every last block is partial
-        monkeypatch.setattr(trainer_mod, "_BLOCK", 7)
+        monkeypatch.setattr(T, "_BLOCK", 7)
         self._check_against_formula(rng)
 
     @pytest.mark.parametrize("block", [7, None])
     def test_updates_write_into_the_state_arrays(self, monkeypatch, rng, block):
         # a flat block that were silently a copy would drop its writes
         if block is not None:
-            monkeypatch.setattr(trainer_mod, "_BLOCK", block)
+            monkeypatch.setattr(T, "_BLOCK", block)
         got, want = (init_train_state(TINY_VIT, TINY_SSL, tiny_train_cfg())
                      for _ in range(2))
         for k, p in got.student_params().items():
@@ -587,6 +587,18 @@ class TestPersistence:
         save_train_state(again, load_train_state(path, TINY_SSL, cfg))
         assert filecmp.cmp(path, again, shallow=False)
 
+    def test_load_reads_each_array_once(self, tmp_path):
+        # each blob is read straight into the array the state adopts: no
+        # whole-file buffer, no second copy, no zero fill
+        cfg = tiny_train_cfg()
+        ssl = dataclasses.replace(TINY_SSL, head_hidden=512)
+        path = str(tmp_path / "state.rdck")
+        save_train_state(path, init_train_state(TINY_VIT, ssl, cfg))
+        state, _, peak = traced_memory(lambda: load_train_state(path, ssl, cfg))
+        state_bytes = sum(a.nbytes for a in trainer_mod._state_blobs(state).values())
+        assert state_bytes > 4 << 20
+        assert peak <= 1.1 * state_bytes
+
     def test_exported_teacher_reproduces_outputs(self, tmp_path):
         imgs = noise_images()
         cfg = tiny_train_cfg(iterations=3)
@@ -729,6 +741,14 @@ class TestCorruptCheckpoint:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(InputError, match=match):
             read_checkpoint(str(path))
+
+    def test_bad_magic(self, tmp_path):
+        self._cut(tmp_path, lambda raw: b"RDCX" + raw[4:],
+                  r"bad\.rdck: not a checkpoint file \(bad magic b'RDCX'\)")
+
+    def test_unsupported_version(self, tmp_path):
+        self._cut(tmp_path, lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:],
+                  r"bad\.rdck: unsupported checkpoint version 2")
 
     def test_truncated_blob(self, tmp_path):
         self._cut(tmp_path, lambda raw: raw[:-1], r"bad\.rdck: truncated blob 'w'")
