@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Every subcommand is a thin adapter: parse flags, merge them over the config
-file, validate, call the module operation, write artifacts. Exit codes:
+`main` builds each command's config once, from the config file, then each
+`--set`, then each shortcut flag (parsed as `--set` text). Every subcommand is
+then a thin adapter: call the module operation, write artifacts. Exit codes:
 0 success, 1 validation error, 2 runtime error. Logs go to stderr; data goes
 to files only.
 """
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config, write_resolved
+from .config import DEFAULTS, RunConfig, apply_overrides, load_config, write_resolved
 from .data import (ManifestRecord, SmearImage, extract_cells, load_images,
                    load_manifest, patchify, save_manifest)
 from .embeddings import embed, read_embeddings, write_embeddings
@@ -43,20 +44,12 @@ def _formatter(prog):
     return argparse.HelpFormatter(prog, width=100)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="config file (section.key = value lines)")
-    p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
-                   dest="overrides", help="override one config key (repeatable)")
-
-
-def _build_config(args, flag_keys: dict[str, str]) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    apply_overrides(cfg, args.overrides)
-    for attr, key in flag_keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg.set_typed(key, value)
-    return cfg
+def _key_flag(p: argparse.ArgumentParser, flag: str, key: str, help=None,
+              choices=None) -> None:
+    """A flag that sets one key: its dest is the key, its text is parsed as
+    `--set` text, and its metavar is the one argparse derives from the flag."""
+    p.add_argument(flag, dest=key, help=help, choices=choices,
+                   metavar=None if choices else flag[2:].replace("-", "_").upper())
 
 
 def _emit_report(report: EvalReport, path: str | None) -> None:
@@ -68,11 +61,7 @@ def _emit_report(report: EvalReport, path: str | None) -> None:
 
 # --- command handlers -------------------------------------------------------
 
-def cmd_gen_synthetic(args) -> int:
-    cfg = _build_config(args, {"n_images": "synth.n_images",
-                               "sources": "synth.sources",
-                               "classes": "synth.classes",
-                               "seed": "run.seed"})
+def cmd_gen_synthetic(args, cfg: RunConfig) -> int:
     samples = gen_synthetic(cfg.synth_config())
     manifest = write_dataset(args.out, samples, with_masks=not args.no_masks)
     write_resolved(cfg, os.path.join(args.out, "config.resolved"))
@@ -98,8 +87,7 @@ def _write_crops(args, cfg: RunConfig, image_id: str, crops, kind: str) -> None:
     write_resolved(cfg, os.path.join(args.out, "config.resolved"))
 
 
-def cmd_patchify(args) -> int:
-    cfg = _build_config(args, {"patch": "data.patch_size"})
+def cmd_patchify(args, cfg: RunConfig) -> int:
     img = _read_smear(args)
     patches = patchify(img, cfg.get("data.patch_size"))
     _write_crops(args, cfg, img.image_id, patches, "patch")
@@ -107,8 +95,7 @@ def cmd_patchify(args) -> int:
     return 0
 
 
-def cmd_extract_cells(args) -> int:
-    cfg = _build_config(args, {"cell_size": "data.cell_size"})
+def cmd_extract_cells(args, cfg: RunConfig) -> int:
     img = _read_smear(args)
     crops, skipped = extract_cells(img, read_pgm(args.mask), cfg.get("data.cell_size"))
     _write_crops(args, cfg, img.image_id, crops, "cell")
@@ -116,10 +103,7 @@ def cmd_extract_cells(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _build_config(args, {"iterations": "train.iterations",
-                               "batch_size": "train.batch_size",
-                               "seed": "run.seed"})
+def cmd_train(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     images = load_images(records)
     state = train(images, cfg.vit_config(), cfg.ssl_config(), cfg.train_config(),
@@ -129,8 +113,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    cfg = _build_config(args, {"batch_size": "embed.batch_size"})
+def cmd_embed(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     emb = embed(args.checkpoint, records, batch_size=cfg.get("embed.batch_size"))
     write_embeddings(args.out, emb)
@@ -139,31 +122,22 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_eval_pair(args) -> int:
-    # the subcommand's kind beats any --set eval.classifier
-    cfg = _build_config(args, {"kind": "eval.classifier", "k": "eval.k",
-                               "metric": "eval.metric",
-                               "reg_lambda": "eval.reg_lambda",
-                               "max_epochs": "eval.max_epochs",
-                               "tol": "eval.tol"})
-    report = EvalReport(protocol=args.kind)
+def cmd_eval_pair(args, cfg: RunConfig) -> int:
+    report = EvalReport(protocol=cfg.get("eval.classifier"))
     report.add_split(cfg.classifier_spec(), args.train_emb, read_embeddings(args.train_emb),
                      args.test_emb, read_embeddings(args.test_emb))
     _emit_report(report, args.report)
     return 0
 
 
-def cmd_eval_loso(args) -> int:
-    cfg = _build_config(args, {"classifier": "eval.classifier", "k": "eval.k"})
+def cmd_eval_loso(args, cfg: RunConfig) -> int:
     emb = read_embeddings(args.emb)
     report = leave_one_source_out(emb, cfg.classifier_spec())
     _emit_report(report, args.report)
     return 0
 
 
-def cmd_eval_kfold(args) -> int:
-    cfg = _build_config(args, {"classifier": "eval.classifier", "k": "eval.k",
-                               "folds": "eval.folds", "seed": "run.seed"})
+def cmd_eval_kfold(args, cfg: RunConfig) -> int:
     emb = read_embeddings(args.emb)
     report = kfold(emb, cfg.classifier_spec(), k=cfg.get("eval.folds"),
                    seed=cfg.get("run.seed"))
@@ -171,8 +145,7 @@ def cmd_eval_kfold(args) -> int:
     return 0
 
 
-def cmd_pca_map(args) -> int:
-    cfg = _build_config(args, {"components": "pca.components"})
+def cmd_pca_map(args, cfg: RunConfig) -> int:
     encoder = load_encoder(args.checkpoint)
     image = read_ppm(args.image)
     rgb, _, variances = pca_map(encoder, image,
@@ -194,23 +167,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
-        _add_config_flags(p)
+        p.add_argument("--config", metavar="FILE",
+                       help="config file (section.key = value lines)")
+        p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
+                       dest="overrides", help="override one config key (repeatable)")
         p.set_defaults(func=func)
         return p
 
     p = add("gen-synthetic", cmd_gen_synthetic,
             "render a deterministic synthetic smear dataset with manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-images", type=int, dest="n_images", help="number of images")
-    p.add_argument("--sources", type=int, help="number of acquisition sources")
-    p.add_argument("--classes", type=int, help="number of cell classes (<= 8)")
-    p.add_argument("--seed", type=int, help="run seed")
+    _key_flag(p, "--n-images", "synth.n_images", "number of images")
+    _key_flag(p, "--sources", "synth.sources", "number of acquisition sources")
+    _key_flag(p, "--classes", "synth.classes", "number of cell classes (<= 8)")
+    _key_flag(p, "--seed", "run.seed", "run seed")
     p.add_argument("--no-masks", action="store_true", help="skip writing label masks")
 
     p = add("patchify", cmd_patchify, "tile one smear image into patches")
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--patch", type=int, help="patch side length")
+    _key_flag(p, "--patch", "data.patch_size", "patch side length")
     p.add_argument("--source-id", default="src0", dest="source_id")
     p.add_argument("--label", default=None, help="optional class label")
 
@@ -219,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--mask", required=True, help="PGM label mask")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--cell-size", type=int, dest="cell_size", help="crop side length")
+    _key_flag(p, "--cell-size", "data.cell_size", "crop side length")
     p.add_argument("--source-id", default="src0", dest="source_id")
     p.add_argument("--label", default=None, help="optional class label")
 
     p = add("train", cmd_train, "run self-distillation training on a manifest")
     p.add_argument("--manifest", required=True, help="training manifest CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--iterations", type=int, help="optimization steps")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--seed", type=int, help="run seed")
+    _key_flag(p, "--iterations", "train.iterations", "optimization steps")
+    _key_flag(p, "--batch-size", "train.batch_size")
+    _key_flag(p, "--seed", "run.seed", "run seed")
     p.add_argument("--resume", action="store_true",
                    help="continue from state.rdck in the output directory")
 
@@ -236,44 +212,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="encoder checkpoint (.rdck)")
     p.add_argument("--manifest", required=True, help="manifest CSV")
     p.add_argument("--out", required=True, help="output embedding file (.emb1)")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    _key_flag(p, "--batch-size", "embed.batch_size")
 
     p = add("eval-linear", cmd_eval_pair, "linear probe: train/test embedding pair")
-    p.set_defaults(kind="linear")
+    p.set_defaults(**{"eval.classifier": "linear"})  # beats --set eval.classifier
     p.add_argument("--train-emb", required=True, dest="train_emb")
     p.add_argument("--test-emb", required=True, dest="test_emb")
-    p.add_argument("--reg-lambda", type=float, dest="reg_lambda")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--tol", type=float)
+    _key_flag(p, "--reg-lambda", "eval.reg_lambda")
+    _key_flag(p, "--max-epochs", "eval.max_epochs")
+    _key_flag(p, "--tol", "eval.tol")
     p.add_argument("--report", help="write per-split CSV here")
 
     p = add("eval-knn", cmd_eval_pair, "k-NN classifier: train/test embedding pair")
-    p.set_defaults(kind="knn")
+    p.set_defaults(**{"eval.classifier": "knn"})  # beats --set eval.classifier
     p.add_argument("--train-emb", required=True, dest="train_emb")
     p.add_argument("--test-emb", required=True, dest="test_emb")
-    p.add_argument("--k", type=int, help="neighbor count")
-    p.add_argument("--metric", choices=["cosine", "euclidean"])
+    _key_flag(p, "--k", "eval.k", "neighbor count")
+    _key_flag(p, "--metric", "eval.metric", choices=["cosine", "euclidean"])
     p.add_argument("--report", help="write per-split CSV here")
 
     p = add("eval-loso", cmd_eval_loso, "leave-one-source-out over one embedding set")
     p.add_argument("--emb", required=True, help="embedding file (.emb1)")
-    p.add_argument("--classifier", choices=["knn", "linear"])
-    p.add_argument("--k", type=int, help="neighbor count for knn")
+    _key_flag(p, "--classifier", "eval.classifier", choices=["knn", "linear"])
+    _key_flag(p, "--k", "eval.k", "neighbor count for knn")
     p.add_argument("--report", help="write per-split CSV here")
 
     p = add("eval-kfold", cmd_eval_kfold, "stratified k-fold over one embedding set")
     p.add_argument("--emb", required=True, help="embedding file (.emb1)")
-    p.add_argument("--classifier", choices=["knn", "linear"])
-    p.add_argument("--k", type=int, help="neighbor count for knn")
-    p.add_argument("--folds", type=int, help="fold count")
-    p.add_argument("--seed", type=int, help="run seed")
+    _key_flag(p, "--classifier", "eval.classifier", choices=["knn", "linear"])
+    _key_flag(p, "--k", "eval.k", "neighbor count for knn")
+    _key_flag(p, "--folds", "eval.folds", "fold count")
+    _key_flag(p, "--seed", "run.seed", "run seed")
     p.add_argument("--report", help="write per-split CSV here")
 
     p = add("pca-map", cmd_pca_map, "render patch-token principal components as RGB")
     p.add_argument("--checkpoint", required=True, help="encoder checkpoint (.rdck)")
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output PPM feature map")
-    p.add_argument("--components", type=int, help="component count")
+    _key_flag(p, "--components", "pca.components", "component count")
 
     return parser
 
@@ -290,7 +266,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        apply_overrides(cfg, args.overrides)
+        for key, raw in vars(args).items():  # the flags whose dest is a key
+            if key in DEFAULTS and raw is not None:
+                cfg.set(key, raw)
+        return args.func(args, cfg)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,11 +92,6 @@ class RunConfig:
             raise InputError(f"unknown config key: {key}")
         self.values[key] = _parse_value(key, raw)
 
-    def set_typed(self, key: str, value: object) -> None:
-        if key not in DEFAULTS:
-            raise InputError(f"unknown config key: {key}")
-        self.values[key] = value
-
     def _build(self, section: str):
         cls = _SECTIONS[section]
         kw = {k.split(".", 1)[1]: v for k, v in self.values.items()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import resize_bilinear
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, ParameterError
 from .netpbm import read_ppm
 
 log = logging.getLogger("smearssl.data")
@@ -59,6 +59,8 @@ def patchify(img: SmearImage, patch: int) -> list[np.ndarray]:
     """Disjoint patch×patch tiles. Images smaller than the patch on either
     side are first scaled up by one uniform factor (no distortion) so the
     short side equals the patch; remainder margins are discarded."""
+    if patch < 1:
+        raise ParameterError(f"patch side must be >= 1, got {patch}")
     h, w = img.height, img.width
     if h * w == 0:
         raise InputError("degenerate image with zero area")
@@ -94,6 +96,8 @@ def extract_cells(img: SmearImage, mask: np.ndarray,
     Returns (crops, skipped) where skipped counts labels under
     MIN_CELL_PIXELS pixels.
     """
+    if out_size < 1:
+        raise ParameterError(f"crop side must be >= 1, got {out_size}")
     mask = np.asarray(mask)
     if mask.shape != img.pixels.shape[:2]:
         raise DimensionError(

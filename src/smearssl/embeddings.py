@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ManifestRecord, load_images
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, ParameterError
 from .trainer import keep_freed_memory, load_encoder
 
 MAGIC = b"EMB1"
@@ -67,7 +67,7 @@ def write_embeddings(path: str, emb: EmbeddingSet) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(emb.vectors, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(emb.vectors, dtype="<f4")))
     with open(sidecar_path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "id", "source_id", "label"])
@@ -76,17 +76,20 @@ def write_embeddings(path: str, emb: EmbeddingSet) -> None:
 
 
 def read_embeddings(path: str) -> EmbeddingSet:
+    """Reads the matrix straight into the array the set keeps, once the
+    file's size is checked against its header: it is never held twice."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise InputError(f"{path}: not an embedding file (magic {raw[:4]!r})")
-    if len(raw) < 12:
-        raise InputError(f"{path}: truncated header ({len(raw)} bytes)")
-    n, d = struct.unpack_from("<II", raw, 4)
-    need = 12 + 4 * n * d
-    if len(raw) != need:
-        raise InputError(f"{path}: expected {need} bytes for {n}x{d}, got {len(raw)}")
-    vectors = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12).reshape(n, d).copy()
+        head = fh.read(12)
+        if head[:4] != MAGIC:
+            raise InputError(f"{path}: not an embedding file (magic {head[:4]!r})")
+        if len(head) < 12:
+            raise InputError(f"{path}: truncated header ({len(head)} bytes)")
+        n, d = struct.unpack_from("<II", head, 4)
+        need, size = 12 + 4 * n * d, os.fstat(fh.fileno()).st_size
+        if size != need:
+            raise InputError(f"{path}: expected {need} bytes for {n}x{d}, got {size}")
+        vectors = np.empty((n, d), dtype="<f4")
+        fh.readinto(memoryview(vectors.reshape(-1)).cast("B"))
     side = sidecar_path(path)
     if not os.path.exists(side):
         raise InputError(f"missing embedding sidecar: {side}")
@@ -124,6 +127,8 @@ def embed(checkpoint_path: str, records: list[ManifestRecord],
     build the rows are byte for byte those of a forward of the whole
     batch, and memory follows one batch, not the corpus. An error in
     either half reaches the caller once the worker has stopped."""
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     encoder = load_encoder(checkpoint_path)
     d = encoder.cfg.embed_dim
     if not records:

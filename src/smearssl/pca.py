@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ParameterError, ProtocolError
 from .vit import VitEncoder
 
 
@@ -18,6 +18,8 @@ def top_components(x: np.ndarray, n_components: int = 3,
     Component signs are fixed so the entry of largest magnitude is positive;
     variances below zero (rounding on rank-deficient data) read as 0.
     """
+    if n_components < 1:
+        raise ParameterError(f"n_components must be >= 1, got {n_components}")
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     if n < 2 or n_components > d:

@@ -108,6 +108,8 @@ def kfold_assignments(labels: list[str], k: int, seed: int) -> np.ndarray:
     members: each class's rows, in sorted class order, are shuffled and
     dealt round-robin to the folds. Otherwise all rows are one group, a
     plain shuffled split (with a warning)."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
     groups = [np.array([i for i, lab in enumerate(labels) if lab == c])
               for c in sorted(set(labels))]

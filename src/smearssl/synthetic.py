@@ -63,6 +63,8 @@ class SynthConfig:
             raise ParameterError(f"classes must lie in 1..{len(CLASS_NAMES)}")
         if self.sources < 1:
             raise ParameterError("sources must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.image_size < 16:
             raise ParameterError("image_size must be >= 16")
         if not 1 <= self.cells_min <= self.cells_max:

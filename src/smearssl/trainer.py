@@ -55,6 +55,8 @@ class TrainConfig:
             raise ParameterError(f"iterations must lie in [0, {MAX_ITERATIONS}]")
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.base_lr < math.inf and 0 <= self.final_lr < math.inf):
             raise ParameterError("base_lr must be finite and > 0, final_lr finite and >= 0")
         if not 0 <= self.weight_decay < math.inf:

@@ -1,6 +1,7 @@
 """CLI surface: help snapshots, exit codes, config plumbing, and the
 thin-adapter guarantee (command output == module-op output)."""
 
+import argparse
 import io
 import logging
 import os
@@ -13,10 +14,11 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+import smearssl.cli as cli
 from oracles import seeded_encoder
 from smearssl.checkpoint import _encode_config, write_checkpoint
-from smearssl.cli import main
-from smearssl.config import (RunConfig, apply_overrides, load_config,
+from smearssl.cli import build_parser, main
+from smearssl.config import (DEFAULTS, RunConfig, apply_overrides, load_config,
                              parse_config_text)
 from smearssl.data import load_manifest
 from smearssl.embeddings import EmbeddingSet, read_embeddings, write_embeddings
@@ -50,6 +52,50 @@ REQUIRED_FLAGS = {
                    "--report"],
     "pca-map": ["--checkpoint", "--image", "--out", "--components"],
 }
+
+# each command's handler, and its required flags with values that no test of
+# config building reads: the config is built before the handler runs
+HANDLERS = {"gen-synthetic": "cmd_gen_synthetic", "patchify": "cmd_patchify",
+            "extract-cells": "cmd_extract_cells", "train": "cmd_train",
+            "embed": "cmd_embed", "eval-linear": "cmd_eval_pair",
+            "eval-knn": "cmd_eval_pair", "eval-loso": "cmd_eval_loso",
+            "eval-kfold": "cmd_eval_kfold", "pca-map": "cmd_pca_map"}
+STUB_ARGS = {
+    "gen-synthetic": ["--out", "o"], "patchify": ["--image", "i", "--out", "o"],
+    "extract-cells": ["--image", "i", "--mask", "m", "--out", "o"],
+    "train": ["--manifest", "m", "--out", "o"],
+    "embed": ["--checkpoint", "c", "--manifest", "m", "--out", "o"],
+    "eval-linear": ["--train-emb", "a", "--test-emb", "b"],
+    "eval-knn": ["--train-emb", "a", "--test-emb", "b"],
+    "eval-loso": ["--emb", "e"], "eval-kfold": ["--emb", "e"],
+    "pca-map": ["--checkpoint", "c", "--image", "i", "--out", "o"],
+}
+
+# every shortcut flag: (command, flag, text, key, value the key takes)
+SHORTCUTS = [
+    ("gen-synthetic", "--n-images", "7", "synth.n_images", 7),
+    ("gen-synthetic", "--sources", "3", "synth.sources", 3),
+    ("gen-synthetic", "--classes", "4", "synth.classes", 4),
+    ("gen-synthetic", "--seed", "11", "run.seed", 11),
+    ("patchify", "--patch", "32", "data.patch_size", 32),
+    ("extract-cells", "--cell-size", "48", "data.cell_size", 48),
+    ("train", "--iterations", "9", "train.iterations", 9),
+    ("train", "--batch-size", "4", "train.batch_size", 4),
+    ("train", "--seed", "12", "run.seed", 12),
+    ("embed", "--batch-size", "5", "embed.batch_size", 5),
+    ("eval-linear", "--reg-lambda", "0.5", "eval.reg_lambda", 0.5),
+    ("eval-linear", "--max-epochs", "30", "eval.max_epochs", 30),
+    ("eval-linear", "--tol", "1", "eval.tol", 1.0),
+    ("eval-knn", "--k", "3", "eval.k", 3),
+    ("eval-knn", "--metric", "euclidean", "eval.metric", "euclidean"),
+    ("eval-loso", "--classifier", "linear", "eval.classifier", "linear"),
+    ("eval-loso", "--k", "4", "eval.k", 4),
+    ("eval-kfold", "--classifier", "linear", "eval.classifier", "linear"),
+    ("eval-kfold", "--k", "4", "eval.k", 4),
+    ("eval-kfold", "--folds", "3", "eval.folds", 3),
+    ("eval-kfold", "--seed", "13", "run.seed", 13),
+    ("pca-map", "--components", "2", "pca.components", 2),
+]
 
 TINY_SETS = [
     "vit.embed_dim=16", "vit.depth=1", "vit.heads=2", "vit.patch_size=16",
@@ -280,6 +326,38 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "state.rdck").exists()
 
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("embed", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("embed", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
+        ("pca-map", "--components", "0", "n_components must be >= 1, got 0"),
+        ("pca-map", "--components", "-1", "n_components must be >= 1, got -1"),
+        ("patchify", "--patch", "0", "patch side must be >= 1, got 0"),
+        ("patchify", "--patch", "-4", "patch side must be >= 1, got -4"),
+        ("extract-cells", "--cell-size", "0", "crop side must be >= 1, got 0"),
+        ("gen-synthetic", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("train", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("eval-kfold", "--seed", "-1", "seed must be >= 0, got -1")])
+    def test_out_of_range_value_refused_before_output(
+            self, dataset, trained, emb_files, tmp_path, capsys, command, flag,
+            text, message):
+        image = load_manifest(str(dataset / "manifest.csv"))[0].path
+        inputs = {
+            "embed": ["--checkpoint", str(trained / "checkpoint.rdck"),
+                      "--manifest", str(dataset / "manifest.csv")],
+            "pca-map": ["--checkpoint", str(trained / "checkpoint.rdck"),
+                        "--image", image],
+            "patchify": ["--image", image],
+            "extract-cells": ["--image", image,
+                              "--mask", image.replace(".ppm", "_mask.pgm")],
+            "gen-synthetic": [],
+            "train": ["--manifest", str(dataset / "manifest.csv")],
+            "eval-kfold": ["--emb", emb_files[0]],
+        }[command]
+        out = ["--report" if command == "eval-kfold" else "--out", str(tmp_path / "o")]
+        rc, _, err = run_cli([command, *inputs, *out, flag, text], capsys)
+        assert (rc, err) == (1, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):
         tr, _ = emb_files
@@ -304,6 +382,45 @@ class TestExitCodes:
         rc, _, err = run_cli(["eval-loso", "--emb", path, "--k", "1"], capsys)
         assert rc == 1
         assert "error:" in err and "source" in err
+
+
+class TestShortcutFlags:
+    def test_table_lists_every_shortcut_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {(name, flag) for name, p in sub.choices.items()
+                    for a in p._actions if a.dest in DEFAULTS
+                    for flag in a.option_strings}
+        assert declared == {(c, f) for c, f, *_ in SHORTCUTS}
+
+    @pytest.mark.parametrize("command, flag, text, key, value", SHORTCUTS)
+    def test_flag_lands_on_its_key(self, monkeypatch, capsys, command, flag,
+                                   text, key, value):
+        seen = {}
+
+        def capture(args, cfg):
+            seen.update(cfg.values)
+            return 0
+
+        monkeypatch.setattr(cli, HANDLERS[command], capture)
+        rc, _, err = run_cli([command, *STUB_ARGS[command], flag, text], capsys)
+        assert rc == 0, err
+        want = dict(DEFAULTS, **{key: value})
+        if command in ("eval-linear", "eval-knn"):  # the subcommand's classifier
+            want["eval.classifier"] = command.split("-")[1]
+        assert seen == want
+        assert type(seen[key]) is type(DEFAULTS[key])
+
+    @pytest.mark.parametrize("command, flag, key, text, kind", [
+        ("train", "--iterations", "train.iterations", "1e3", "int"),
+        ("eval-linear", "--tol", "eval.tol", "tiny", "float"),
+        ("gen-synthetic", "--seed", "run.seed", "0.5", "int")])
+    def test_bad_flag_value_reads_as_bad_set_value(self, capsys, command, flag,
+                                                   key, text, kind):
+        line = f"error: {key}: cannot parse {text!r} as {kind}\n"
+        for given in ([flag, text], ["--set", f"{key}={text}"]):
+            rc, _, err = run_cli([command, *STUB_ARGS[command], *given], capsys)
+            assert (rc, err) == (1, line), given
 
 
 class TestConfigPlumbing:
@@ -373,6 +490,12 @@ class TestConfigPlumbing:
                                   "--out", str(tmp_path / "d")], capsys)
             assert rc == 1
             assert "unknown config key" in err and "bad.cfg:2" in err, key
+
+    def test_config_line_without_equals_refused(self):
+        with pytest.raises(InputError, match="base.cfg:2: expected 'section.key = "
+                           "value', got 'run.seed 3'"):
+            parse_config_text("synth.n_images = 3\n  run.seed 3\n",
+                              origin="base.cfg")
 
     def test_resolved_config_reproduces_run(self, dataset, tmp_path, capsys):
         # spec'd guarantee: a run is reproducible from its resolved dump alone
@@ -469,8 +592,8 @@ class TestTrainCommands:
 
         cfg = RunConfig()
         apply_overrides(cfg, list(TINY_SETS))
-        cfg.set_typed("run.seed", 5)
-        cfg.set_typed("train.iterations", 0)
+        cfg.set("run.seed", "5")
+        cfg.set("train.iterations", "0")
         ref = init_train_state(cfg.vit_config(), cfg.ssl_config(),
                                cfg.train_config())
         enc = load_encoder(str(out / "checkpoint.rdck"))
@@ -662,7 +785,7 @@ class TestAdapterTransparency:
         assert rc == 0
 
         cfg = RunConfig()
-        cfg.set_typed("eval.k", 3)
+        cfg.set("eval.k", "3")
         expected = leave_one_source_out(read_embeddings(tr_path),
                                         cfg.classifier_spec())
         expected_path = str(tmp_path / "loso_direct.csv")
@@ -682,7 +805,7 @@ class TestAdapterTransparency:
         assert rc == 0
 
         cfg = RunConfig()
-        cfg.set_typed("eval.k", 3)
+        cfg.set("eval.k", "3")
         expected = kfold(read_embeddings(tr_path), cfg.classifier_spec(),
                          k=3, seed=0)
         expected_path = str(tmp_path / "kf_direct.csv")
@@ -694,9 +817,21 @@ class TestAdapterTransparency:
         assert got == want
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def checkout_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH: a
+    child process does not inherit the path pytest gives the tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "smearssl.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: smearssl")
 
@@ -706,8 +841,7 @@ def test_console_script_runs(tmp_path):
     # [project.scripts] entry, so the declared entry point is what runs
     # rather than whatever `smearssl` happens to be installed on PATH.
     tomllib = pytest.importorskip("tomllib")
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(repo, "pyproject.toml"), "rb") as fh:
+    with open(os.path.join(REPO, "pyproject.toml"), "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["smearssl"]
     module, attr = entry.split(":")
     bin_dir = tmp_path / "bin"
@@ -718,11 +852,9 @@ def test_console_script_runs(tmp_path):
                         f"from {module} import {attr}\n"
                         f"sys.exit({attr}())\n")
     launcher.chmod(0o755)
-    env = dict(os.environ)
+    env = checkout_env()
     env["PATH"] = os.pathsep.join(
         filter(None, [str(bin_dir), env.get("PATH")]))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(["smearssl", "--help"], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0
@@ -732,16 +864,13 @@ def test_console_script_runs(tmp_path):
 def test_demo_script_runs(tmp_path):
     # the demo calls `python3 -m smearssl.cli`; point python3 at this
     # interpreter and the package at this checkout
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     os.symlink(sys.executable, bin_dir / "python3")
-    env = dict(os.environ)
+    env = checkout_env()
     env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(repo, "src"), env.get("PYTHONPATH")]))
     out = tmp_path / "demo"
-    proc = subprocess.run(["bash", os.path.join(repo, "scripts", "demo.sh"),
+    proc = subprocess.run(["bash", os.path.join(REPO, "scripts", "demo.sh"),
                            str(out)], capture_output=True, text=True, env=env,
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

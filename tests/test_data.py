@@ -89,6 +89,68 @@ class TestNetpbm:
         with pytest.raises(InputError, match="bad image size"):
             reader(p)
 
+    @pytest.mark.parametrize("header", [b"P6\n4 4", b"P6\n4 4 255"])
+    def test_truncated_header_rejected(self, tmp_path, header):
+        p = str(tmp_path / "h.ppm")
+        with open(p, "wb") as fh:
+            fh.write(header)
+        with pytest.raises(InputError, match="^truncated netpbm header$"):
+            read_ppm(p)
+
+    def test_bad_header_token_rejected(self, tmp_path):
+        p = str(tmp_path / "t.ppm")
+        with open(p, "wb") as fh:
+            fh.write(b"P6\n4 x4 255\n" + bytes(48))
+        with pytest.raises(InputError, match=r"bad netpbm header token b'x4'"):
+            read_ppm(p)
+
+    @pytest.mark.parametrize("writer, image, message", [
+        (write_ppm, np.zeros((4, 4), np.uint8),
+         r"PPM writer needs \[H,W,3\], got shape \(4, 4\)"),
+        (write_ppm, np.zeros((4, 4, 3), np.float32),
+         "PPM writer needs uint8 pixels, got float32"),
+        (write_pgm16, np.zeros((4, 4, 1), np.uint16),
+         r"PGM writer needs \[H,W\], got shape \(4, 4, 1\)"),
+        (write_pgm16, np.zeros((4, 4), np.uint8),
+         "PGM writer needs uint16 labels, got uint8")])
+    def test_writer_refuses_shape_or_dtype(self, tmp_path, writer, image, message):
+        p = tmp_path / "out.pnm"
+        with pytest.raises(InputError, match=message):
+            writer(str(p), image)
+        assert not p.exists()
+
+    def test_ppm_maxval_other_than_255_rejected(self, tmp_path):
+        p = str(tmp_path / "deep.ppm")
+        with open(p, "wb") as fh:
+            fh.write(b"P6\n1 1\n65535\n" + bytes(6))
+        with pytest.raises(InputError, match=r"deep\.ppm: only 8-bit PPM "
+                           r"supported \(maxval 65535\)"):
+            read_ppm(p)
+
+    def test_pgm_wrong_magic_rejected(self, tmp_path):
+        p = str(tmp_path / "ascii.pgm")
+        with open(p, "wb") as fh:
+            fh.write(b"P2\n1 1\n255\n0\n")
+        with pytest.raises(InputError, match=r"ascii\.pgm: not a binary PGM "
+                           r"\(magic b'P2'\)"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("maxval", [b"0", b"65536"])
+    def test_pgm_bad_maxval_rejected(self, tmp_path, maxval):
+        p = str(tmp_path / "m.pgm")
+        with open(p, "wb") as fh:
+            fh.write(b"P5\n1 1\n" + maxval + b"\n" + bytes(2))
+        with pytest.raises(InputError, match=rf"m\.pgm: bad maxval {int(maxval)}$"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("maxval, body", [(b"255", 3), (b"65535", 7)])
+    def test_pgm_truncated_pixel_data_rejected(self, tmp_path, maxval, body):
+        p = str(tmp_path / "short.pgm")
+        with open(p, "wb") as fh:
+            fh.write(b"P5\n2 2\n" + maxval + b"\n" + bytes(body))
+        with pytest.raises(InputError, match=r"short\.pgm: truncated pixel data"):
+            read_pgm(p)
+
     def test_sixteen_bit_is_big_endian_on_disk(self, tmp_path):
         p = str(tmp_path / "be.pgm")
         write_pgm16(p, np.array([[0x0102]], dtype=np.uint16))

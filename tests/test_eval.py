@@ -11,7 +11,7 @@ import pytest
 
 from oracles import (dense_pca, naive_knn, naive_metrics,
                      reference_kfold_assignments, reference_linear_probe,
-                     seeded_encoder)
+                     seeded_encoder, traced_memory)
 from smearssl import probes
 from smearssl import tensor as T
 from smearssl.data import load_images, load_manifest
@@ -672,6 +672,51 @@ class TestEmbeddingIO:
         with pytest.raises(InputError):
             EmbeddingSet(np.array([[np.inf, 0.0]], dtype=np.float32),
                          ["a"], ["s"], [None])
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(DimensionError,
+                           match="embedding matrix must be 2-d, got 1-d"):
+            EmbeddingSet(np.zeros(2, np.float32), ["a", "b"], ["s", "s"],
+                         [None, None])
+
+    def test_metadata_length_other_than_rows_rejected(self):
+        with pytest.raises(DimensionError,
+                           match="metadata length does not match row count"):
+            EmbeddingSet(np.zeros((2, 3), np.float32), ["a"], ["s", "s"],
+                         [None, None])
+
+    def test_sidecar_row_count_other_than_vectors_rejected(self, tmp_path):
+        emb = EmbeddingSet(np.zeros((2, 2), np.float32), ["a", "b"],
+                           ["s", "s"], [None, None])
+        path = str(tmp_path / "e.emb")
+        write_embeddings(path, emb)
+        with open(sidecar_path(path), "w") as fh:
+            fh.write("row,id,source_id,label\n0,a,s,\n")
+        with pytest.raises(InputError,
+                           match=r"e\.emb\.csv: 1 metadata rows for 2 vectors"):
+            read_embeddings(path)
+
+    def _wide_set(self, rng):
+        # 4 MB of vectors, so the sidecar's few hundred short rows are noise
+        n, d = 256, 4096
+        return EmbeddingSet(rng.standard_normal((n, d)).astype(np.float32),
+                            [f"r{i}" for i in range(n)], ["s"] * n, ["a"] * n)
+
+    def test_write_holds_no_copy_of_the_matrix(self, tmp_path, rng):
+        emb = self._wide_set(rng)
+        path = str(tmp_path / "e.emb")
+        _, _, peak = traced_memory(lambda: write_embeddings(path, emb))
+        assert peak <= 0.1 * emb.vectors.nbytes, peak / emb.vectors.nbytes
+        np.testing.assert_array_equal(read_embeddings(path).vectors, emb.vectors)
+
+    def test_read_holds_one_copy_of_the_matrix(self, tmp_path, rng):
+        # the matrix, plus the bool array of the finite check (a quarter)
+        emb = self._wide_set(rng)
+        path = str(tmp_path / "e.emb")
+        write_embeddings(path, emb)
+        back, _, peak = traced_memory(lambda: read_embeddings(path))
+        assert peak <= 1.3 * emb.vectors.nbytes, peak / emb.vectors.nbytes
+        np.testing.assert_array_equal(back.vectors, emb.vectors)
 
 
 @pytest.fixture(scope="module")

@@ -542,6 +542,17 @@ class TestTrainEndToEnd:
                   str(tmp_path / "run"))
         assert not (tmp_path / "run").exists()
 
+    def test_resume_past_requested_iterations_refused(self, tmp_path):
+        out = tmp_path / "run"
+        train(noise_images(), TINY_VIT, TINY_SSL, tiny_train_cfg(iterations=3),
+              TINY_CROP, str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ParameterError, match="saved state is at iteration 3, "
+                           "past the requested 2"):
+            train(noise_images(), TINY_VIT, TINY_SSL, tiny_train_cfg(iterations=2),
+                  TINY_CROP, str(out), resume=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_with_another_encoder_refused(self, tmp_path):
         out = tmp_path / "run"
         cfg = tiny_train_cfg(iterations=2)
