@@ -50,6 +50,21 @@ class SmearImage:
         return int(self.pixels.shape[1])
 
 
+def _check_resize_fits(what: str, out_h: int, out_w: int) -> None:
+    """Refuses, before anything is allocated, a resize to out_h x out_w
+    whose float32 working set -- three RGB arrays of that size at its peak --
+    exceeds the machine's physical memory."""
+    need = 3 * out_h * out_w * 3 * 4
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf or no such name
+        return
+    if need > have:
+        raise InputError(f"{what} needs a {out_h} x {out_w} resize: "
+                         f"{need / 2**30:.1f} GiB of float32 working memory, more "
+                         f"than this machine's {have / 2**30:.1f} GiB")
+
+
 def _resize_uint8(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     out = resize_bilinear(img.astype(np.float32), out_h, out_w)
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
@@ -68,6 +83,7 @@ def patchify(img: SmearImage, patch: int) -> list[np.ndarray]:
     if min(h, w) < patch:
         factor = patch / min(h, w)
         nh, nw = int(round(h * factor)), int(round(w * factor))
+        _check_resize_fits(f"patch side {patch}", nh, nw)
         pixels = _resize_uint8(pixels, nh, nw)
         h, w = nh, nw
     rows, cols = h // patch, w // patch
@@ -98,6 +114,7 @@ def extract_cells(img: SmearImage, mask: np.ndarray,
     """
     if out_size < 1:
         raise ParameterError(f"crop side must be >= 1, got {out_size}")
+    _check_resize_fits(f"crop side {out_size}", out_size, out_size)
     mask = np.asarray(mask)
     if mask.shape != img.pixels.shape[:2]:
         raise DimensionError(

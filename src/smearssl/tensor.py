@@ -1,8 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a numpy array (float32 for training, float64 for
-gradient checks -- the dtype travels with the data). Differentiable ops
-record their output and a backward closure on the active :class:`Tape`;
+gradient checks -- the dtype travels with the data) and a :class:`GradCell`,
+the small object that holds its gradient. Differentiable ops record their
+output's cell and a backward closure on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse recording order,
 accumulating gradients into every reachable tensor with ``requires_grad``.
 The tape, not the closure, skips a record whose output no gradient reached;
@@ -10,11 +11,28 @@ a closure takes that gradient and holds only its op's math. An op records
 only when an input requires a gradient, so only a closure with several
 inputs tests which of them do.
 
+What a record keeps: its output's cell, and a closure over the cells of the
+inputs that take a gradient plus only the arrays its math reads. ``add``,
+``sub``, ``neg``, ``reshape``, ``transpose``, ``concat``, ``narrow``,
+``tensor_sum`` and ``mean`` read no array at all; ``layernorm`` keeps its
+normalized input and row scales, ``attention`` its q, k, v and softmax, not
+their inputs. So an output that no backward reads is freed as soon as the
+caller drops it, during the forward.
+
 ``backward`` consumes the tape: it drops each record as it runs it, so the
-arrays a record saved, and an output that no caller holds with its
-``.grad``, are freed once that record's backward is done. A tensor the
-caller still holds keeps its ``.grad``; the tape is empty afterwards, and a
-second ``backward`` on it runs no record.
+arrays a record saved, and a cell that no caller holds with its tensor, are
+freed once that record's backward is done. A tensor the caller still holds
+keeps its ``.grad``; the tape is empty afterwards, and a second
+``backward`` on it runs no record.
+
+A ``linear`` weight gradient with more elements than the layer's input and
+output gradient together (``w.size > x.size + g.size``) waits: its record
+leaves the product ``x.T @ g`` in the weight's cell, and ``backward``
+computes it after every record has run, once the activations are freed.
+Holding x and g until then costs less than holding the gradient, so this
+never raises the peak. A later contribution to the same cell, or the
+record of an op that computed the weight, first adds the waiting products,
+so every gradient is summed in recording order and keeps its bits.
 
 Broadcasting is restricted to leading-axis expansion: two operands may mix
 shapes only when one shape is a trailing suffix of the other (a scalar
@@ -37,10 +55,68 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _BLOCK = 1 << 16
 
 
-class Tensor:
-    """n-d float array, optionally participating in the gradient tape."""
+class GradCell:
+    """The gradient of one tensor, with the shape and dtype it must have.
+    Records and closures keep cells, not tensors, so a tensor's ``data``
+    lives only as long as a caller or a backward that reads it holds it.
+    ``later`` queues weight-gradient products that wait for the end of
+    ``Tape.backward``."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("grad", "shape", "dtype", "later")
+
+    def __init__(self, shape, dtype):
+        self.grad: Optional[np.ndarray] = None
+        self.shape = shape
+        self.dtype = dtype
+        self.later: Optional[list[Callable[[], np.ndarray]]] = None
+
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Adds ``g`` into ``grad``, after any waiting products. The first
+        gradient is copied, unless the caller passes ``owned`` for a fresh
+        array that nothing else holds: then a C-ordered one in this cell's
+        dtype is kept as it is."""
+        if g.shape != self.shape:
+            raise DimensionError(
+                f"gradient shape {g.shape} does not match tensor shape {self.shape}"
+            )
+        if self.later:
+            self.flush()
+        if self.grad is None:
+            if owned and g.dtype == self.dtype and g.flags.c_contiguous:
+                self.grad = g
+                return
+            self.grad = np.array(g, dtype=self.dtype, order="C")
+        else:
+            self.grad += g
+
+    def accumulate_at(self, index, g: np.ndarray) -> None:
+        """Adds ``g`` into ``grad[index]``, a zero gradient if there is none."""
+        if self.later:
+            self.flush()
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.dtype)
+        self.grad[index] += g
+
+    def defer(self, product: Callable[[], np.ndarray]) -> None:
+        """Queues ``product()`` to be added later, after the products queued
+        before it."""
+        if self.later is None:
+            self.later = []
+        self.later.append(product)
+
+    def flush(self) -> None:
+        """Computes and adds the waiting products, in the order queued."""
+        later, self.later = self.later, None
+        for product in later or ():
+            self.accumulate(product(), owned=True)
+
+
+class Tensor:
+    """n-d float array, optionally participating in the gradient tape.
+    ``data`` may be rebound only to an array of the same shape and dtype:
+    the gradient cell keeps both."""
+
+    __slots__ = ("data", "requires_grad", "cell")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -48,7 +124,15 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
+        self.cell = GradCell(arr.shape, arr.dtype)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self.cell.grad = g
 
     @property
     def shape(self):
@@ -66,20 +150,8 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Adds ``g`` into ``grad``. The first gradient is copied, unless the
-        caller passes ``owned`` for a fresh array that nothing else holds:
-        then a C-ordered one in this tensor's dtype is kept as it is."""
-        if g.shape != self.data.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
-            )
-        if self.grad is None:
-            if owned and g.dtype == self.data.dtype and g.flags.c_contiguous:
-                self.grad = g
-                return
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
-        else:
-            self.grad += g
+        """``GradCell.accumulate`` on this tensor's cell."""
+        self.cell.accumulate(g, owned)
 
     def check_finite(self, context: str = "tensor") -> "Tensor":
         if not np.all(np.isfinite(self.data)):
@@ -108,17 +180,18 @@ class Tape:
     Use as a context manager; ops executed inside record themselves when any
     input requires a gradient. ``backward`` replays the records strictly in
     reverse, so gradients for shared subexpressions accumulate by addition,
-    and pops each record before running it.
+    and pops each record before running it. A closure returns None, or a
+    ``(cell, product)`` pair whose product waits until every record has run.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[GradCell, Callable]] = []
 
     def __len__(self):
         return len(self._records)
 
-    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._records.append((out, backward_fn))
+    def record(self, out: Tensor, backward_fn: Callable) -> None:
+        self._records.append((out.cell, backward_fn))
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -131,12 +204,30 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         if root.grad is None:
             root.grad = np.ones_like(root.data)
-        records = self._records
-        while records:
-            # rebinding drops the previous record, its closure and its output
-            out, fn = records.pop()
-            if out.grad is not None:
-                fn(out.grad)
+        waiting: list[GradCell] = []
+        try:
+            while self._records:
+                _run_record(self._records.pop(), waiting)
+            for cell in waiting:
+                cell.flush()
+        finally:
+            for cell in waiting:
+                cell.later = None
+
+
+def _run_record(record: tuple[GradCell, Callable], waiting: list[GradCell]) -> None:
+    """Runs one popped record; the record, its closure and its cell are
+    dropped when this returns. A product the closure leaves for later is
+    queued on its cell, and the cell on ``waiting``."""
+    cell, fn = record
+    if cell.later:  # a weight computed by an op
+        cell.flush()
+    if cell.grad is not None:
+        later = fn(cell.grad)
+        if later is not None:
+            target, product = later
+            target.defer(product)
+            waiting.append(target)
 
 
 class _TapeStack(threading.local):
@@ -198,18 +289,24 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
+def _cells(*tensors: Tensor) -> list[Optional[GradCell]]:
+    """Each tensor's gradient cell, or None for one that takes no gradient."""
+    return [t.cell if t.requires_grad else None for t in tensors]
+
+
 # --- arithmetic ---------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b, "add")
     out = Tensor(a.data + b.data)
+    ca, cb = _cells(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        if ca is not None:
+            ca.accumulate(_unbroadcast(g, ca.shape))
+        if cb is not None:
+            cb.accumulate(_unbroadcast(g, cb.shape))
 
     return _maybe_record(out, (a, b), backward)
 
@@ -217,21 +314,23 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b, "sub")
     out = Tensor(a.data - b.data)
+    ca, cb = _cells(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(g, b.shape))
+        if ca is not None:
+            ca.accumulate(_unbroadcast(g, ca.shape))
+        if cb is not None:
+            cb.accumulate(-_unbroadcast(g, cb.shape))
 
     return _maybe_record(out, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(-g)
+        ca.accumulate(-g)
 
     return _maybe_record(out, (a,), backward)
 
@@ -239,12 +338,16 @@ def neg(a: Tensor) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b, "mul")
     out = Tensor(a.data * b.data)
+    ca, cb = _cells(a, b)
+    # each operand's gradient reads the other's data
+    ad = a.data if cb is not None else None
+    bd = b.data if ca is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if ca is not None:
+            ca.accumulate(_unbroadcast(g * bd, ca.shape))
+        if cb is not None:
+            cb.accumulate(_unbroadcast(g * ad, cb.shape))
 
     return _maybe_record(out, (a, b), backward)
 
@@ -263,41 +366,54 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim == b.ndim and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul: leading dims disagree ({a.shape} x {b.shape})")
     out = Tensor(a.data @ b.data)
+    ca, cb = _cells(a, b)
+    ad = a.data if cb is not None else None
+    bd = b.data if ca is not None else None
+    stacked = a.ndim == b.ndim
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.ndim == a.ndim:
-                b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
+        if ca is not None:
+            ca.accumulate(g @ np.swapaxes(bd, -1, -2))
+        if cb is not None:
+            if stacked:
+                cb.accumulate(np.swapaxes(ad, -1, -2) @ g)
             else:
-                k = a.shape[-1]
+                k = ad.shape[-1]
                 n = g.shape[-1]
-                a2 = a.data.reshape(-1, k)
+                a2 = ad.reshape(-1, k)
                 g2 = g.reshape(-1, n)
-                b.accumulate_grad(a2.T @ g2)
+                cb.accumulate(a2.T @ g2)
 
     return _maybe_record(out, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for x [..., k], w [k, n] and b [n], as one record with
-    the float ops of ``matmul`` followed by ``add``."""
+    the float ops of ``matmul`` followed by ``add``. A weight gradient with
+    more elements than x and the output together waits for the end of
+    ``Tape.backward`` (see the module docstring)."""
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: shapes {x.shape} x {w.shape} + {b.shape}")
     k, n = w.shape
     data = x.data @ w.data
     data += b.data
     out = Tensor(data)
+    cx, cw, cb = _cells(x, w, b)
+    xd = x.data if cw is not None else None
+    wd = w.data if cx is not None else None
+    defer = w.data.size > x.data.size + data.size
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        if b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0), owned=True)
-        if w.requires_grad:
-            w.accumulate_grad(x.data.reshape(-1, k).T @ g2, owned=True)
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T, owned=True)
+        if cb is not None:
+            cb.accumulate(g2.sum(axis=0), owned=True)
+        if cx is not None:
+            cx.accumulate(g @ wd.T, owned=True)
+        if cw is not None:
+            if defer:
+                return cw, lambda: xd.reshape(-1, k).T @ g2
+            cw.accumulate(xd.reshape(-1, k).T @ g2, owned=True)
+        return None
 
     return _maybe_record(out, (x, w, b), backward)
 
@@ -309,9 +425,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.transpose(a.data, axes).copy())
     inv = tuple(np.argsort(axes))
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(np.transpose(g, inv))
+        ca.accumulate(np.transpose(g, inv))
 
     return _maybe_record(out, (a,), backward)
 
@@ -319,10 +436,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = Tensor(a.data.reshape(shape).copy())
-    orig = a.shape
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(g.reshape(orig))
+        ca.accumulate(g.reshape(ca.shape))
 
     return _maybe_record(out, (a,), backward)
 
@@ -332,13 +449,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    cells = _cells(*tensors)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for c, lo, hi in zip(cells, offsets[:-1], offsets[1:]):
+            if c is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+                c.accumulate(g[tuple(idx)])
 
     return _maybe_record(out, tensors, backward)
 
@@ -349,11 +467,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = Tensor(a.data[idx].copy())
+    ca = a.cell
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[idx] += g
+        ca.accumulate_at(idx, g)
 
     return _maybe_record(out, (a,), backward)
 
@@ -362,11 +479,12 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Select rows of a 2-d tensor by integer index (axis 0)."""
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index].copy())
+    ca = a.cell
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(ca.shape, ca.dtype)
         np.add.at(full, index, g)
-        a.accumulate_grad(full)
+        ca.accumulate(full)
 
     return _maybe_record(out, (a,), backward)
 
@@ -386,9 +504,10 @@ def _reduce_backward_shape(a: Tensor, axis):
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     kept, full = _reduce_backward_shape(a, axis)
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(np.broadcast_to(g.reshape(kept), full).copy())
+        ca.accumulate(np.broadcast_to(g.reshape(kept), full).copy())
 
     return _maybe_record(out, (a,), backward)
 
@@ -397,10 +516,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     kept, full = _reduce_backward_shape(a, axis)
     count = a.data.size / max(out.data.size, 1)
+    ca = a.cell
 
     def backward(g):
         ga = np.broadcast_to(g.reshape(kept), full) / count
-        a.accumulate_grad(ga.astype(a.dtype, copy=False))
+        ca.accumulate(ga.astype(ca.dtype, copy=False))
 
     return _maybe_record(out, (a,), backward)
 
@@ -409,19 +529,23 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
+    x = a.data
+    out = Tensor(np.log(x))
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(g / a.data)
+        ca.accumulate(g / x)
 
     return _maybe_record(out, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
+    y = np.sqrt(a.data)
+    out = Tensor(y)
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(g * 0.5 / out.data)
+        ca.accumulate(g * 0.5 / y)
 
     return _maybe_record(out, (a,), backward)
 
@@ -452,6 +576,7 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(xb, 0.5, out=yb)
         yb *= one_t  # 0.5 * x * (1 + tanh(inner))
     out = Tensor(y)
+    ca = a.cell
 
     def backward(g):
         grad = np.empty_like(x)
@@ -480,7 +605,7 @@ def gelu(a: Tensor) -> Tensor:
             local *= dinner
             local += np.multiply(one_t, 0.5, out=e)
             local *= gb  # 0.5*(1 + t) + 0.5*x*sech2*dinner, times g
-        a.accumulate_grad(grad, owned=True)
+        ca.accumulate(grad, owned=True)
 
     return _maybe_record(out, (a,), backward)
 
@@ -520,6 +645,7 @@ def attention(qkv: Tensor, heads: int, queries: Optional[int] = None) -> Tensor:
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor((s @ v).transpose(0, 2, 1, 3).reshape(b, n, d))
+    cqkv = qkv.cell
 
     def backward(g):
         gc = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
@@ -528,12 +654,12 @@ def attention(qkv: Tensor, heads: int, queries: Optional[int] = None) -> Tensor:
         gs -= (gs * s).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= scale
-        grad = np.empty((b, t, 3, heads, dh), dtype=qkv.dtype)
+        grad = np.empty((b, t, 3, heads, dh), dtype=cqkv.dtype)
         grad[:, n:, 0] = 0.0
         grad[:, :n, 0] = (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
         grad[:, :, 1] = (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
         grad[:, :, 2] = gv.transpose(0, 2, 1, 3)
-        qkv.accumulate_grad(grad.reshape(b, t, d3), owned=True)
+        cqkv.accumulate(grad.reshape(b, t, d3), owned=True)
 
     return _maybe_record(out, (qkv,), backward)
 
@@ -543,38 +669,51 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = Tensor(z - lse)
     s = np.exp(out.data)
+    ca = a.cell
 
     def backward(g):
-        a.accumulate_grad(g - s * g.sum(axis=axis, keepdims=True))
+        ca.accumulate(g - s * g.sum(axis=axis, keepdims=True))
 
     return _maybe_record(out, (a,), backward)
 
 
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance,
-    then apply the affine (gain, bias)."""
+    then apply the affine (gain, bias). Each direction allocates two
+    full-size arrays and reuses them in place, with the float ops of the
+    written-out formula in its order, so the bits match it; the record keeps
+    the normalized input and the row scales."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layernorm affine shapes {gain.shape}/{bias.shape} do not match extent {d}"
         )
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu  # centered, normalized in place below
+    y = np.multiply(xhat, xhat)
+    var = y.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
+    ca, cgain, cbias = _cells(a, gain, bias)
+    gain_d = gain.data if ca is not None else None
 
     def backward(g):
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if a.requires_grad:
-            gg = g * gain.data
+        tmp = np.multiply(g, xhat)
+        if cgain is not None:
+            cgain.accumulate(tmp.reshape(-1, d).sum(axis=0))
+        if cbias is not None:
+            cbias.accumulate(g.reshape(-1, d).sum(axis=0))
+        if ca is not None:
+            gg = np.multiply(g, gain_d)
             m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(((gg - m1 - xhat * m2) * inv).astype(a.dtype, copy=False))
+            m2 = np.multiply(gg, xhat, out=tmp).mean(axis=-1, keepdims=True)
+            gg -= m1
+            gg -= np.multiply(xhat, m2, out=tmp)
+            gg *= inv
+            ca.accumulate(gg, owned=True)
 
     return _maybe_record(out, (a, gain, bias), backward)
 
@@ -585,11 +724,12 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
     denom = np.maximum(norm, eps)
     y = a.data / denom
     out = Tensor(y)
+    ca = a.cell
 
     def backward(g):
         unclamped = norm > eps
         dot = (g * y).sum(axis=axis, keepdims=True)
         grad = np.where(unclamped, (g - y * dot) / denom, g / denom)
-        a.accumulate_grad(grad.astype(a.dtype, copy=False))
+        ca.accumulate(grad.astype(ca.dtype, copy=False))
 
     return _maybe_record(out, (a,), backward)

@@ -274,6 +274,25 @@ def reference_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return y, g * local
 
 
+def reference_layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                        g: np.ndarray, eps: float = 1e-6) -> list[np.ndarray]:
+    """Layernorm over the last axis, and its input, gain and bias gradients
+    for upstream ``g``, written out as plain expressions: the float ops the
+    in-place ``T.layernorm`` must match bit for bit."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gain + bias
+    gg = g * gain
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    gx = (gg - m1 - xhat * m2) * inv
+    return [y, gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+
+
 def reference_resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize by four fancy-index gathers per output pixel, one per
     corner: the float ops the separable ``augment.resize_bilinear`` must

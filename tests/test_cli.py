@@ -358,6 +358,22 @@ class TestExitCodes:
         assert (rc, err) == (1, f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag", [("patchify", "--patch"),
+                                               ("extract-cells", "--cell-size")])
+    def test_crop_side_beyond_memory_refused_before_allocating(
+            self, dataset, tmp_path, capsys, command, flag):
+        # a 10**6-px side asks a 64 x 64 image for a 10**6 x 10**6 float32
+        # resize, beyond any machine's memory
+        image = load_manifest(str(dataset / "manifest.csv"))[0].path
+        mask = ["--mask", image.replace(".ppm", "_mask.pgm")] if command == "extract-cells" else []
+        rc, _, err = run_cli([command, "--image", image, *mask, "--out", str(tmp_path / "o"),
+                              flag, "1000000"], capsys)
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        side = "patch" if command == "patchify" else "crop"
+        assert f"{side} side 1000000 needs a 1000000 x 1000000 resize: 33527.6 GiB" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_knn_dimension_mismatch_is_validation_error(self, emb_files,
                                                          tmp_path, capsys):
         tr, _ = emb_files

@@ -1,14 +1,15 @@
 """Autodiff engine: forward values, analytic gradients, tape behavior."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import smearssl.tensor as T
-from oracles import (grad_check, reference_attention, reference_gelu, reference_softmax,
-                     traced_memory)
+from oracles import (grad_check, reference_attention, reference_gelu, reference_layernorm,
+                     reference_softmax, traced_memory)
 from smearssl.objective import softmax_np
 
 
@@ -330,6 +331,27 @@ class TestFusedOps:
         assert len(tape) == 1 and out.data.nbytes == x.data.nbytes
         assert x.data.nbytes <= kept < 1.5 * x.data.nbytes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layernorm_matches_written_out_formula_bitwise(self, rng, dtype):
+        # 7 x 333 = 2331 rows, a multiple of neither 8 nor 16; each
+        # direction allocates two full-size arrays
+        shape = (7, 333, 64)
+        x = rng.normal(1.0, 2.0, size=shape).astype(dtype)
+        gain = rng.uniform(0.5, 1.5, size=64).astype(dtype)
+        bias = rng.normal(size=64).astype(dtype)
+        upstream = rng.normal(size=shape).astype(dtype)
+        want = reference_layernorm(x, gain, bias, upstream)
+        inputs = [T.Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias)]
+        with T.Tape() as tape:
+            out, _, fwd_peak = traced_memory(lambda: T.layernorm(*inputs))
+            out.grad = upstream.copy()
+            _, _, bwd_peak = traced_memory(lambda: tape.backward(out))
+        got = [out.data] + [t.grad for t in inputs]
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert fwd_peak < 2.5 * x.nbytes and bwd_peak < 2.5 * x.nbytes
+
     @pytest.mark.parametrize("op", ["gelu", "linear2d", "linear3d", "attention",
                                     "attention1"])
     def test_inputs_and_upstream_grad_stay_untouched(self, rng, op):
@@ -440,6 +462,109 @@ class TestTapeMechanics:
         assert kept < 1.5 * x.data.nbytes  # x.grad alone
         assert peak < 4 * x.data.nbytes
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 1.5**4, np.float32))
+
+    def test_large_weight_gradient_waits_for_the_last_record(self, rng):
+        # w [64, 64] holds more elements than x [2, 64] and g [2, 64] together,
+        # so its product runs after the first record, once the tape is empty
+        x = T.Tensor(rng.normal(size=(2, 64)).astype(np.float32), requires_grad=True)
+        w, b = (T.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                for s in ((64, 64), (64,)))
+        upstream = rng.normal(size=(2, 64)).astype(np.float32)
+        seen = []
+
+        def first_record(g):
+            seen.append((len(tape), w.grad))
+            x.accumulate_grad(g)
+
+        with T.Tape() as tape:
+            h = T._maybe_record(T.Tensor(x.data.copy()), (x,), first_record)
+            out = T.linear(h, w, b)
+            out.grad = upstream.copy()
+            tape.backward(out)
+        assert seen == [(0, None)]
+        assert w.grad.tobytes() == (h.data.T @ upstream).tobytes()
+        assert x.grad.tobytes() == (upstream @ w.data.T).tobytes()
+
+    def test_waiting_weight_gradient_reaches_the_op_that_computed_the_weight(self, rng):
+        # w = reshape(p) is a record's output: its waiting product must be
+        # added before that record runs, or p gets no gradient
+        p = T.Tensor(rng.normal(size=64 * 64).astype(np.float32), requires_grad=True)
+        x = T.Tensor(rng.normal(size=(2, 64)).astype(np.float32))
+        b = T.Tensor(np.zeros(64, np.float32))
+        upstream = rng.normal(size=(2, 64)).astype(np.float32)
+        with T.Tape() as tape:
+            out = T.linear(x, T.reshape(p, (64, 64)), b)
+            out.grad = upstream.copy()
+            tape.backward(out)
+        assert p.grad.tobytes() == (x.data.T @ upstream).tobytes()
+
+    @pytest.mark.parametrize("rows", [(2, 40, 3), (2, 3, 1)])
+    def test_weight_shared_by_three_records_sums_in_recording_order(self, rng, rows):
+        # w [32, 32]: a 40-row input takes its product at once, the others
+        # wait; either way the three products add up in today's order, the
+        # last record's first, and float32 addition is not associative
+        w = T.Tensor(rng.normal(size=(32, 32)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros(32, np.float32), requires_grad=True)
+        xs = [T.Tensor(rng.normal(size=(r, 32)).astype(np.float32)) for r in rows]
+        ups = [rng.normal(size=(r, 32)).astype(np.float32) for r in rows]
+        with T.Tape() as tape:
+            outs = [T.linear(x, w, b) for x in xs]
+            root = T.tensor_sum(T.mul(outs[0], ups[0]))
+            for out, up in zip(outs[1:], ups[1:]):
+                root = T.add(root, T.tensor_sum(T.mul(out, up)))
+            tape.backward(root)
+        p1, p2, p3 = (x.data.T @ up for x, up in zip(xs, ups))
+        want = p3.copy()
+        want += p2
+        want += p1
+        assert w.grad.tobytes() == want.tobytes()
+        assert ((p1 + p2) + p3).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "neg", "reshape", "transpose", "concat",
+                                    "narrow", "tensor_sum", "mean", "layernorm",
+                                    "attention"])
+    def test_output_no_backward_reads_is_freed_during_the_forward(self, rng, op):
+        # a linear output whose one consumer reads no input data dies as
+        # soon as the caller drops it, before backward; the gradients are
+        # those of a run that holds it
+        arrays = [rng.normal(size=s).astype(np.float32)
+                  for s in ((2, 5, 8), (8, 24), (24,), (2, 5, 24), (24,), (24,))]
+        consumers = {
+            "add": lambda h, o, ga, bi: T.add(h, o),
+            "sub": lambda h, o, ga, bi: T.sub(h, o),
+            "neg": lambda h, o, ga, bi: T.neg(h),
+            "reshape": lambda h, o, ga, bi: T.reshape(h, (10, 24)),
+            "transpose": lambda h, o, ga, bi: T.transpose(h, (2, 0, 1)),
+            "concat": lambda h, o, ga, bi: T.concat([h, o], axis=1),
+            "narrow": lambda h, o, ga, bi: T.narrow(h, 1, 1, 3),
+            "tensor_sum": lambda h, o, ga, bi: T.tensor_sum(h, axis=-1),
+            "mean": lambda h, o, ga, bi: T.mean(h, axis=-1),
+            "layernorm": lambda h, o, ga, bi: T.layernorm(h, ga, bi),
+            "attention": lambda h, o, ga, bi: T.attention(h, 2),
+        }
+
+        def run(hold):
+            x, w, b, other, gain, bias = (T.Tensor(a.copy(), requires_grad=True)
+                                          for a in arrays)
+            with T.Tape() as tape:
+                h = T.linear(x, w, b)
+                alive = weakref.ref(h.data)
+                y = consumers[op](h, other, gain, bias)
+                if not hold:
+                    del h
+                c = np.linspace(-1.0, 1.0, y.data.size, dtype=np.float32)
+                root = T.tensor_sum(T.mul(y, c.reshape(y.shape)))
+                del y
+                freed = alive() is None
+                tape.backward(root)
+            return freed, [t.grad for t in (x, w, b, other, gain, bias)]
+
+        freed, grads = run(hold=False)
+        held, want = run(hold=True)
+        assert freed and not held
+        for g, wg in zip(grads, want):
+            assert (g is None) == (wg is None)
+            assert g is None or g.tobytes() == wg.tobytes()
 
     def test_backward_consumes_the_tape(self, rng):
         # a held tensor keeps its gradient; a second backward runs no record

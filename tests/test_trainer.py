@@ -28,6 +28,7 @@ from smearssl.trainer import (
     sample_batch,
     save_train_state,
     schedule,
+    teacher_targets,
     train,
     train_step,
 )
@@ -375,6 +376,28 @@ class TestTrainStep:
         assert abs(got - want) < 1e-6
         for k, p in state.teacher_params().items():
             assert p.requires_grad is False and p.grad is None, k
+
+    def test_default_step_peaks_below_forward_plus_largest_head_weight(self):
+        # at the shipped defaults the head's fc2 weight (2048 x 2048, 16.8 MB)
+        # is the largest; its gradient, and fc3's, wait until the backward
+        # has freed the forward's activations instead of landing on them
+        cfg = TrainConfig()
+        state = init_train_state(VitConfig(), SslConfig(), cfg)
+        imgs = noise_images(n=cfg.batch_size, size=64)
+        train_step(state, sample_batch(imgs, CropSpec(), cfg, 0))
+        views = sample_batch(imgs, CropSpec(), cfg, 1)
+
+        def taped_forward():
+            targets = teacher_targets(state, views)
+            with T.Tape():
+                logits, z = head_forward(state.student_head,
+                                         state.student_enc.forward(views))
+                total_loss(logits, targets, state.ssl_cfg, z)
+
+        _, _, forward_peak = traced_memory(taped_forward)
+        _, _, step_peak = traced_memory(lambda: train_step(state, views))
+        largest = max(p.data.nbytes for p in state.student_head.values())
+        assert step_peak < forward_peak + largest
 
     def test_tape_records_per_step(self, monkeypatch):
         # pins the fused ops, so a split back into generic primitives shows:
