@@ -14,8 +14,10 @@
 # 6-iteration run's byte for byte. Its schedule is flat (final_lr = base_lr,
 # no warmup, constant teacher momentum): the schedule is a function of
 # `--iterations`, so a 3-iteration run under the default one takes other
-# steps than the first 3 of a 6-iteration run. Its runs are compared, not
-# hashed.
+# steps than the first 3 of a 6-iteration run. A killed-resume leg then puts
+# the 3-iteration `state.rdck` back beside the 6-row log, as a resume killed
+# before its final save leaves them, resumes to 6 again and makes the same
+# comparison. These runs are compared, not hashed.
 # It runs the `src/` of the checkout it sits in, so two checkouts' outputs
 # compare with one diff:
 #   diff <(scripts/digests.sh 0) <(../other/scripts/digests.sh 0)
@@ -43,12 +45,20 @@ FLAT=(--seed "$SEED" --set train.base_lr=0.001 --set train.final_lr=0.001
       --set train.teacher_momentum_end=0.996)
 smearssl train --manifest data/manifest.csv --out resume/straight --iterations 6 "${FLAT[@]}"
 smearssl train --manifest data/manifest.csv --out resume/resumed --iterations 3 "${FLAT[@]}"
-smearssl train --manifest data/manifest.csv --out resume/resumed --iterations 6 "${FLAT[@]}" \
-    --resume
-for f in state.rdck checkpoint.rdck loss_log.csv; do
-    cmp "resume/straight/$f" "resume/resumed/$f" \
-        || { echo "resume: $f differs from a straight run" >&2; exit 1; }
-done
+cp resume/resumed/state.rdck resume/state3.rdck
+# resume_to_6 LEG: resumes resume/resumed to 6 iterations; exits unless its
+# files equal the straight run's byte for byte
+resume_to_6() {
+    smearssl train --manifest data/manifest.csv --out resume/resumed --iterations 6 \
+        "${FLAT[@]}" --resume
+    for f in state.rdck checkpoint.rdck loss_log.csv; do
+        cmp "resume/straight/$f" "resume/resumed/$f" \
+            || { echo "$1: $f differs from a straight run" >&2; exit 1; }
+    done
+}
+resume_to_6 resume
+cp resume/state3.rdck resume/resumed/state.rdck
+resume_to_6 "killed resume"
 smearssl train --manifest data/manifest.csv --out run_ema --iterations 4 --seed "$SEED" \
     --set ssl.centering=ema --set ssl.koleo_weight=0.1
 FIRST=$(ls data/*.ppm | grep -v mask | head -1)

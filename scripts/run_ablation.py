@@ -59,6 +59,7 @@ def main():
     rows = []
     for mode in args.modes:
         t0 = time.time()
+        logging.info("centering %s", mode)
         arm = ablation.run_arm(mode, samples, ssl, train)
         history = arm["loss_history"]
         rows.append({

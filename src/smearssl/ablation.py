@@ -4,7 +4,6 @@ entropy near 0 and cross-source accuracy stuck at its random-init level."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +14,8 @@ from .objective import SslConfig, marginal_deviation, mean_assignment_entropy
 from .probes import knn
 from .synthetic import SynthConfig, SynthSample
 from .trainer import (TrainConfig, init_train_state, keep_freed_memory,
-                      sample_batch, teacher_targets, train_step)
+                      sample_batch, steps, teacher_targets)
 from .vit import VitConfig, VitEncoder
-
-log = logging.getLogger("smearssl.ablation")
 
 SYNTH = SynthConfig(n_images=240, sources=2, classes=3, seed=0, cells_min=5,
                     cells_max=5, cell_radius_lo=0.105, cell_radius_hi=0.115,
@@ -46,17 +43,15 @@ def cross_source_acc(encoder: VitEncoder, samples: list[SynthSample]) -> float:
 
 def run_arm(mode: str, samples: list[SynthSample], ssl: SslConfig = SSL,
             train: TrainConfig = TRAIN) -> dict:
-    """Train one arm with centering `mode`; score the teacher targets of the
-    next batch. Returns entropy, marginal_dev, cross_source_acc, loss_history."""
+    """Train one arm with centering `mode` in `trainer.steps`, the loop `train`
+    runs; score the teacher targets of the next batch. Returns entropy,
+    marginal_dev, cross_source_acc and loss_history, `train`'s `loss` column."""
     keep_freed_memory()
     pixels = [s.image.pixels for s in samples]
     state = init_train_state(VitConfig(), replace(ssl, centering=mode), train)
-    for i in range(train.iterations):
-        loss = train_step(state, sample_batch(pixels, CROP, train, i))
-        if i % 50 == 0:
-            log.info("[%s] it %4d loss %.4f", mode, i, loss)
+    losses = [record.loss for record in steps(state, pixels, CROP)]
     targets = teacher_targets(state, sample_batch(pixels, CROP, train, state.iteration))
     return {"entropy": mean_assignment_entropy(targets),
             "marginal_dev": marginal_deviation(targets),
             "cross_source_acc": cross_source_acc(state.teacher_enc, samples),
-            "loss_history": list(state.loss_history)}
+            "loss_history": losses}

@@ -1,9 +1,9 @@
 """Student-teacher training loop.
 
-One owner mutates TrainState. Per-iteration randomness comes from fresh
-generators keyed by (seed, iteration, stream), which makes batch order a pure
-function of the seed and lets a resumed run replay the exact tail of a
-straight run.
+One loop, `steps`, mutates TrainState and yields one `loss_log.csv` row per
+iteration. Per-iteration randomness comes from fresh generators keyed by
+(seed, iteration, stream), which makes batch order a pure function of the
+seed and lets a resumed run replay the exact tail of a straight run.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import ctypes
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -131,17 +132,18 @@ class TrainState:
     moments_v: dict[str, np.ndarray]
     centering: CenteringState
     iteration: int = 0
-    loss_history: list[float] = field(default_factory=list)
 
     def student_params(self) -> dict[str, T.Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.student_enc.params.items()}
-        out.update({f"head.{k}": v for k, v in self.student_head.items()})
-        return out
+        return _tower(self.student_enc.params, self.student_head)
 
     def teacher_params(self) -> dict[str, T.Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.teacher_enc.params.items()}
-        out.update({f"head.{k}": v for k, v in self.teacher_head.items()})
-        return out
+        return _tower(self.teacher_enc.params, self.teacher_head)
+
+
+def _tower(encoder: dict, head: dict) -> dict:
+    """One tower's parameters by full name: `encoder.*`, then `head.*`."""
+    return {**{f"encoder.{k}": v for k, v in encoder.items()},
+            **{f"head.{k}": v for k, v in head.items()}}
 
 
 def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
@@ -154,19 +156,17 @@ def init_train_state(vit_cfg: VitConfig, ssl_cfg: SslConfig,
     student_head = init_head_params(ssl_cfg, vit_cfg.embed_dim, rng)
     teacher_params = {k: T.Tensor(v.data.copy()) for k, v in student_params.items()}
     teacher_head = {k: T.Tensor(v.data.copy()) for k, v in student_head.items()}
-    state = TrainState(
+    student = _tower(student_params, student_head)
+    return TrainState(
         vit_cfg=vit_cfg, ssl_cfg=ssl_cfg, train_cfg=train_cfg,
         student_enc=VitEncoder(vit_cfg, params=student_params),
         student_head=student_head,
         teacher_enc=VitEncoder(vit_cfg, params=teacher_params),
         teacher_head=teacher_head,
-        moments_m={}, moments_v={},
+        moments_m={k: np.zeros_like(p.data) for k, p in student.items()},
+        moments_v={k: np.zeros_like(p.data) for k, p in student.items()},
         centering=CenteringState.fresh(ssl_cfg.num_prototypes),
     )
-    for name, p in state.student_params().items():
-        state.moments_m[name] = np.zeros_like(p.data)
-        state.moments_v[name] = np.zeros_like(p.data)
-    return state
 
 
 def _iteration_rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
@@ -253,10 +253,27 @@ def train_step(state: TrainState, views: np.ndarray) -> float:
     renormalize_prototypes(state.student_head)
     ema_update(state.teacher_params(), state.student_params(), sched["m_t"])
 
-    value = float(loss.item())
-    state.loss_history.append(value)
     state.iteration += 1
-    return value
+    return float(loss.item())
+
+
+class Step(NamedTuple):
+    """One iteration of `steps`; its fields are the `loss_log.csv` columns."""
+    iter: int
+    loss: float
+    lr: float
+    teacher_momentum: float
+
+
+def steps(state: TrainState, images: list[np.ndarray], crop: CropSpec) -> Iterator[Step]:
+    """Trains `state` up to `train_cfg.iterations`, yielding each iteration's `Step`."""
+    cfg = state.train_cfg
+    while (it := state.iteration) < cfg.iterations:
+        sched = schedule(it, cfg)
+        loss = train_step(state, sample_batch(images, crop, cfg, it))
+        if (it + 1) % 50 == 0 or it == 0:
+            log.info("iter %d loss %.4f lr %.2e", it, loss, sched["lr"])
+        yield Step(it, loss, sched["lr"], sched["m_t"])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +311,7 @@ def load_train_state(path: str, ssl_cfg: SslConfig,
     vit_cfg, blobs = read_checkpoint(path)
     encoder = vit_param_shapes(vit_cfg)
     head = head_param_shapes(ssl_cfg, vit_cfg.embed_dim)
-    params = {f"encoder.{k}": s for k, s in encoder.items()}
-    params.update({f"head.{k}": s for k, s in head.items()})
+    params = _tower(encoder, head)
     want = {f"{group}.{k}": s for group in ("student", "teacher", "adam.m", "adam.v")
             for k, s in params.items()}
     want["center"] = (ssl_cfg.num_prototypes,)
@@ -357,12 +373,33 @@ def keep_freed_memory() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
+def _truncate_log(path: str, iteration: int) -> None:
+    """Rewrites `loss_log.csv` as its header and its rows 0 to iteration - 1,
+    the complete ones in order, through a temp file and `os.replace`. A row
+    past them, from a run killed after its last save, is dropped."""
+    rows: list[str] = []
+    if iteration and os.path.exists(path):
+        with open(path) as fh:
+            for row in fh:
+                if (len(rows) < iteration and row.startswith(f"{len(rows)},")
+                        and row.endswith("\n")):
+                    rows.append(row)
+    if len(rows) < iteration:
+        log.warning("%s: rows %d to %d are missing", path, len(rows), iteration - 1)
+    with open(path + ".tmp", "w") as fh:
+        fh.write(",".join(Step._fields) + "\n")
+        fh.writelines(rows)
+    os.replace(path + ".tmp", path)
+
+
 def train(images: list[np.ndarray], vit_cfg: VitConfig, ssl_cfg: SslConfig,
           train_cfg: TrainConfig, crop: CropSpec, out_dir: str,
           resume: bool = False) -> TrainState:
     """Full run: optimize, then write `checkpoint.rdck` (teacher encoder),
-    `state.rdck` (resumable full state), and `loss_log.csv`. A resume refuses
-    a `vit_cfg` other than its state's; a refused run writes nothing."""
+    `state.rdck` (resumable full state), and `loss_log.csv`, one row per
+    `Step`. A resume refuses a `vit_cfg` other than its state's, and keeps
+    only the log rows before its state's iteration; a refused run writes
+    nothing."""
     if not images:
         raise InputError("empty training set")
     if crop.global_size != vit_cfg.image_size:
@@ -389,17 +426,11 @@ def train(images: list[np.ndarray], vit_cfg: VitConfig, ssl_cfg: SslConfig,
             f"requested {train_cfg.iterations}")
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "loss_log.csv"), "a" if resume else "w") as fh:
-        if not resume:
-            fh.write("iter,loss,lr,teacher_momentum\n")
-        while state.iteration < train_cfg.iterations:
-            it = state.iteration
-            sched = schedule(it, train_cfg)
-            views = sample_batch(images, crop, train_cfg, it)
-            value = train_step(state, views)
-            fh.write(f"{it},{value!r},{sched['lr']!r},{sched['m_t']!r}\n")
-            if (it + 1) % 50 == 0 or it == 0:
-                log.info("iter %d loss %.4f lr %.2e", it, value, sched["lr"])
+    log_path = os.path.join(out_dir, "loss_log.csv")
+    _truncate_log(log_path, state.iteration)
+    with open(log_path, "a") as fh:
+        for record in steps(state, images, crop):
+            fh.write(",".join(map(repr, record)) + "\n")
 
     save_train_state(state_path, state)
     export_teacher(os.path.join(out_dir, "checkpoint.rdck"), state)

@@ -9,12 +9,14 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from oracles import seeded_encoder
 from smearssl import ablation
 from smearssl.embeddings import EmbeddingSet
 from smearssl.protocols import leave_one_source_out
 from smearssl.synthetic import gen_synthetic
+from smearssl.trainer import train
 from smearssl.vit import VitConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,6 +36,18 @@ def test_run_arm_returns_picklable_numbers():
     for key in ("cross_source_acc", "entropy", "marginal_dev"):
         assert type(arm[key]) is float and math.isfinite(arm[key]), key
     assert pickle.loads(pickle.dumps((ablation.run_arm, samples, arm)))[2] == arm
+
+
+@pytest.mark.parametrize("mode", ["none", "sinkhorn"])
+def test_run_arm_and_train_share_one_loop(tmp_path, mode):
+    samples = gen_synthetic(replace(ablation.SYNTH, n_images=25))
+    cfg = replace(ablation.TRAIN, iterations=3)
+    history = ablation.run_arm(mode, samples, train=cfg)["loss_history"]
+    train([s.image.pixels for s in samples], VitConfig(),
+          replace(ablation.SSL, centering=mode), cfg, ablation.CROP, str(tmp_path))
+    with open(tmp_path / "loss_log.csv", newline="") as fh:
+        logged = [float(row["loss"]) for row in csv.DictReader(fh)]
+    assert len(history) == 3 and history == logged
 
 
 def test_cross_source_acc_is_the_loso_src0_to_src1_record():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import itertools
 import os
 import struct
 
@@ -28,6 +29,7 @@ from smearssl.trainer import (
     sample_batch,
     save_train_state,
     schedule,
+    steps,
     teacher_targets,
     train,
     train_step,
@@ -45,6 +47,19 @@ def tiny_train_cfg(**kw):
                 weight_decay=0.01, seed=3)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def take_steps(state, imgs, n):
+    """The next n `Step`s of `state`'s run on `imgs`."""
+    return list(itertools.islice(steps(state, imgs, TINY_CROP), n))
+
+
+def write_log(path, records):
+    """A `loss_log.csv` of these `Step`s, as `train` writes it."""
+    with open(path, "w") as fh:
+        fh.write("iter,loss,lr,teacher_momentum\n")
+        fh.writelines(f"{r.iter},{r.loss!r},{r.lr!r},{r.teacher_momentum!r}\n"
+                      for r in records)
 
 
 def noise_images(n=6, size=24, seed=0):
@@ -315,9 +330,7 @@ class TestTrainStep:
         for _ in range(2):
             cfg = tiny_train_cfg()
             state = init_train_state(TINY_VIT, TINY_SSL, cfg)
-            for it in range(10):
-                train_step(state, sample_batch(imgs, TINY_CROP, cfg, it))
-            histories.append(list(state.loss_history))
+            histories.append([record.loss for record in steps(state, imgs, TINY_CROP)])
         assert histories[0] == histories[1]
         assert len(histories[0]) == 10
         assert all(np.isfinite(histories[0]))
@@ -450,7 +463,7 @@ class TestTrainStep:
         for bad in (views[:3], views[:2], np.concatenate([views, views[:1]])):
             with pytest.raises(ParameterError, match="rows"):
                 train_step(state, bad)
-        assert state.iteration == 0 and state.loss_history == []
+        assert state.iteration == 0
         after = [p.data for p in (*state.student_params().values(),
                                   *state.teacher_params().values())]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -539,9 +552,9 @@ class TestTrainEndToEnd:
         resumed_dir = str(tmp_path / "resumed")
         os.makedirs(resumed_dir)
         partial = init_train_state(TINY_VIT, ssl, cfg)
-        for it in range(3):
-            train_step(partial, sample_batch(imgs, TINY_CROP, cfg, it))
+        records = take_steps(partial, imgs, 3)
         save_train_state(os.path.join(resumed_dir, "state.rdck"), partial)
+        write_log(os.path.join(resumed_dir, "loss_log.csv"), records)
         resumed = train(imgs, TINY_VIT, ssl, cfg, TINY_CROP, resumed_dir,
                         resume=True)
 
@@ -549,7 +562,38 @@ class TestTrainEndToEnd:
             np.testing.assert_array_equal(p.data, resumed.teacher_params()[k].data)
         np.testing.assert_array_equal(straight.centering.center,
                                       resumed.centering.center)
-        assert straight.loss_history[3:] == resumed.loss_history
+        assert filecmp.cmp(os.path.join(straight_dir, "loss_log.csv"),
+                           os.path.join(resumed_dir, "loss_log.csv"), shallow=False)
+
+    def test_resume_without_log_writes_header(self, tmp_path):
+        imgs = noise_images()
+        cfg = tiny_train_cfg(iterations=6)
+        straight = tmp_path / "straight"
+        train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(straight))
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        partial = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        take_steps(partial, imgs, 3)
+        save_train_state(str(resumed / "state.rdck"), partial)
+        train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(resumed), resume=True)
+        want = (straight / "loss_log.csv").read_text().splitlines()
+        assert (resumed / "loss_log.csv").read_text().splitlines() == want[:1] + want[4:]
+
+    def test_resume_after_kill_drops_rows_past_the_state(self, tmp_path):
+        # a run killed after writing log rows 2 and 3 but before saving its
+        # state leaves the 2-iteration state.rdck beside rows 0-3
+        imgs = noise_images()
+        cfg = tiny_train_cfg(iterations=4)
+        straight, out = tmp_path / "straight", tmp_path / "run"
+        train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(straight))
+        train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(out))
+        partial = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        take_steps(partial, imgs, 2)
+        save_train_state(str(out / "state.rdck"), partial)
+        train(imgs, TINY_VIT, TINY_SSL, cfg, TINY_CROP, str(out), resume=True)
+        for name in ("loss_log.csv", "state.rdck", "checkpoint.rdck"):
+            assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+        assert not (out / "loss_log.csv.tmp").exists()
 
     def test_resume_without_state_rejected(self, tmp_path):
         with pytest.raises(InputError):
@@ -594,8 +638,7 @@ class TestPersistence:
         imgs = noise_images()
         cfg = tiny_train_cfg(iterations=5)
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
-        for it in range(2):
-            train_step(state, sample_batch(imgs, TINY_CROP, cfg, it))
+        take_steps(state, imgs, 2)
         path = str(tmp_path / "state.rdck")
         save_train_state(path, state)
         back = load_train_state(path, TINY_SSL, cfg)
@@ -637,8 +680,7 @@ class TestPersistence:
         imgs = noise_images()
         cfg = tiny_train_cfg(iterations=3)
         state = init_train_state(TINY_VIT, TINY_SSL, cfg)
-        for it in range(2):
-            train_step(state, sample_batch(imgs, TINY_CROP, cfg, it))
+        take_steps(state, imgs, 2)
         path = str(tmp_path / "enc.rdck")
         export_teacher(path, state)
         enc = load_encoder(path)
