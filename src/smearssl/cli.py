@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-emb", required=True, dest="train_emb")
     p.add_argument("--test-emb", required=True, dest="test_emb")
     _key_flag(p, "--reg-lambda", "eval.reg_lambda")
-    _key_flag(p, "--max-epochs", "eval.max_epochs")
-    _key_flag(p, "--tol", "eval.tol")
     p.add_argument("--report", help="write per-split CSV here")
 
     p = add("eval-knn", cmd_eval_pair, "k-NN classifier: train/test embedding pair")

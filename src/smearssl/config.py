@@ -50,8 +50,6 @@ DEFAULTS: dict[str, object] = {
     "eval.k": 20,
     "eval.metric": "cosine",
     "eval.reg_lambda": 1e-4,
-    "eval.max_epochs": 500,
-    "eval.tol": 1e-6,
     "eval.folds": 5,
 
     "pca.components": 3,
@@ -121,8 +119,7 @@ class RunConfig:
     def classifier_spec(self) -> dict:
         g = self.get
         return {"kind": g("eval.classifier"), "k": g("eval.k"), "metric": g("eval.metric"),
-                "reg_lambda": g("eval.reg_lambda"),
-                "max_epochs": g("eval.max_epochs"), "tol": g("eval.tol")}
+                "reg_lambda": g("eval.reg_lambda")}
 
     def resolved_text(self) -> str:
         lines = ["# resolved configuration (reproduces this run when passed"

@@ -8,6 +8,7 @@ round a matrix product differently in the last bit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -45,74 +46,77 @@ def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ProbeResult:
     predictions: list[str]
     metrics: dict[str, float]
-    epochs_run: int
+    epochs_run: int  # Newton iterations
 
 
 def _fit_softmax(x: np.ndarray, y_index: np.ndarray, k: int, reg_lambda: float,
-                 max_epochs: int, tol: float
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fits softmax regression to the standardized float64 rows of x [n, d]
-    with labels y_index in [0, k). Works class-major: x is copied once to a
-    contiguous [d, n], the weights are [k, d], and the logits, probabilities
-    and gradient are [k, n], so the max-shift and the softmax normalizer
-    reduce over axis 0, k contiguous rows, and the bias gradient over each
-    contiguous row. Returns the weights [k, d], the bias [k] and the epochs
-    run, fewer than max_epochs only once the gradient norm fell below tol."""
-    n = len(x)
-    xt = np.ascontiguousarray(x.T)
+                 tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fits softmax regression with an L2 penalty on W to the standardized
+    float64 rows of x [n, d], labels y_index in [0, k), by damped Newton on
+    theta = [W | b], [k, d + 1], class-major: x becomes [d + 1, n] with a
+    row of ones, the logits [k, n]. Softmax ignores a common bias shift, so
+    the Hessian gets the projector onto common shifts of theta's rows, which
+    changes no step: the iterates and gradients keep a zero class mean. The
+    step halves from 1 until the Armijo test passes; the logits are linear in
+    it. The fit stops once half the Newton decrement is within the rounding
+    of f (taking that step: no comparison of f can judge it), once no step
+    lowers f, or once the gradient norm is below tol. Returns W, b, iterations."""
+    n, d = x.shape
+    m = d + 1
+    xa = np.vstack([x.T, np.ones((1, n))])
     label = y_index * n + np.arange(n)  # flat index of [y_index, rows] in [k, n]
-    onehot = np.zeros((k, n))
-    onehot.flat[label] = 1.0
+    onehot = np.eye(k)[:, y_index]
+    penalty = np.r_[np.full(d, reg_lambda), 0.0]  # per column of theta
+    fixed = np.kron(np.full((k, k), 1.0 / k), np.eye(m)).reshape(k, m, k, m)
+    fixed.flat[::k * m + 1] += np.tile(penalty, k)
 
-    w = np.zeros((k, x.shape[1]))
-    b = np.zeros(k)
-
-    def forward(wm, bv):
-        probs = wm @ xt
-        probs += bv[:, None]
-        probs -= probs.max(axis=0)
-        np.exp(probs, out=probs)
+    def forward(theta, logits):
+        probs = np.exp(logits - logits.max(axis=0))
         probs /= probs.sum(axis=0)
         ce = -np.log(np.maximum(probs.take(label), 1e-300)).sum() / n
-        return probs, ce + 0.5 * reg_lambda * float((wm * wm).sum())
+        grad = (probs - onehot) @ xa.T / n + penalty * theta
+        return probs, ce + 0.5 * float((penalty * theta * theta).sum()), grad
 
-    step = 1.0
-    epochs = 0
-    probs, value = forward(w, b)
-    for epochs in range(1, max_epochs + 1):
-        g = (probs - onehot) / n
-        gw = g @ x + reg_lambda * w
-        gb = g.sum(axis=1)
-        gnorm_sq = float((gw * gw).sum() + (gb * gb).sum())
-        if np.sqrt(gnorm_sq) < tol:
+    theta, logits = np.zeros((k, m)), np.zeros((k, n))
+    probs, value, grad = forward(theta, logits)
+    iters = 0
+    while np.linalg.norm(grad) >= tol:
+        # Block (c, c') is xa diag(p_c (delta_cc' - p_c') / n) xa^T; a diagonal
+        # block is minus the sum of its row's others: k(k-1)/2 products A A^T.
+        hess = fixed.copy()
+        for c, c2 in itertools.combinations(range(k), 2):
+            xs = xa * np.sqrt(probs[c] * probs[c2] / n)
+            block = xs @ xs.T
+            hess[[c, c2], :, [c2, c]] -= block
+            hess[[c, c2], :, [c, c2]] += block
+        step = np.linalg.solve(hess.reshape(k * m, -1), -grad.ravel()).reshape(k, m)
+        slope = float(grad.ravel() @ step.ravel())
+        iters += 1
+        if -slope / 2 <= 4 * np.finfo(np.float64).eps * max(abs(value), 1.0):
+            theta += step
             break
-        step = min(step * 2.0, 1e4)
-        while step > 1e-12:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            probs_new, value_new = forward(w_new, b_new)
-            if value_new <= value - 1e-4 * step * gnorm_sq:
+        dlogits = step @ xa
+        for t in 0.5 ** np.arange(41):
+            trial = forward(theta + t * step, logits + t * dlogits)
+            if trial[1] <= value + 1e-4 * t * slope:
                 break
-            step *= 0.5
-        w, b, probs, value = w_new, b_new, probs_new, value_new
-    return w, b, epochs
+        else:
+            break
+        theta += t * step
+        logits += t * dlogits
+        probs, value, grad = trial
+    return theta[:, :d], theta[:, d], iters
 
 
 def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
-                 reg_lambda: float = 1e-4, max_epochs: int = 500,
-                 tol: float = 1e-6) -> ProbeResult:
-    """Softmax regression with an L2 penalty on weights (never the bias),
-    optimized by full-batch gradient descent with Armijo backtracking on the
-    train-set standardized features. The optimizer (`_fit_softmax`) keeps
-    logits, probabilities and gradients class-major, [classes, rows]. It
-    stops after max_epochs epochs, or earlier once the gradient norm falls
-    below tol (0 runs every epoch). Raises ParameterError for max_epochs < 1,
-    a negative or non-finite reg_lambda, or a negative or non-finite tol."""
+                 reg_lambda: float = 1e-4, tol: float = 0.0) -> ProbeResult:
+    """Softmax regression, L2 penalty on the weights (never the bias), on the
+    train-set standardized features, fitted to its optimum by `_fit_softmax`.
+    Raises ParameterError for a reg_lambda not finite and > 0 (unpenalized,
+    a separable train set has no optimum) or a negative or non-finite tol."""
     classes, y_index = _classes(train, test)
-    if not (np.isfinite(reg_lambda) and reg_lambda >= 0):
-        raise ParameterError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
-    if max_epochs < 1:
-        raise ParameterError(f"max_epochs must be >= 1, got {max_epochs}")
+    if not (np.isfinite(reg_lambda) and reg_lambda > 0):
+        raise ParameterError(f"reg_lambda must be finite and > 0, got {reg_lambda}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     if len(classes) < 2:
@@ -125,12 +129,12 @@ def linear_probe(train: EmbeddingSet, test: EmbeddingSet,
     x = train.vectors.astype(np.float64)
     mean, std = _standardize_stats(x)
     x = (x - mean) / std
-    w, b, epochs = _fit_softmax(x, y_index, len(classes), reg_lambda, max_epochs, tol)
+    w, b, iters = _fit_softmax(x, y_index, len(classes), reg_lambda, tol)
 
     z = (test.vectors.astype(np.float64) - mean) / std
     preds = [classes[i] for i in (w @ z.T + b[:, None]).argmax(axis=0)]
     return ProbeResult(predictions=preds, metrics=compute_metrics(test.labels, preds),
-                       epochs_run=epochs)
+                       epochs_run=iters)
 
 
 def _l2_rows(x: np.ndarray) -> np.ndarray:

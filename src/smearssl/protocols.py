@@ -30,7 +30,7 @@ def run_classifier(spec: dict, train: EmbeddingSet, test: EmbeddingSet) -> dict[
     if kind == "knn":
         classifier, keys = knn, ("k", "metric")
     elif kind == "linear":
-        classifier, keys = linear_probe, ("reg_lambda", "max_epochs", "tol")
+        classifier, keys = linear_probe, ("reg_lambda", "tol")
     else:
         raise ParameterError(f"unknown classifier kind {kind!r}")
     return classifier(train, test, **{key: spec[key] for key in keys if key in spec}).metrics

@@ -194,10 +194,11 @@ def patch_count_formula(height: int, width: int, patch: int) -> int:
 
 def reference_linear_probe(x: np.ndarray, y_index: np.ndarray, k: int,
                            reg_lambda: float, max_epochs: int, tol: float):
-    """Row-major transcription of the linear probe's optimizer: logits
-    [n, k] = x @ w + b on the standardized float64 rows of x, an L2 penalty
-    on w only, full-batch gradient descent with step-doubling Armijo
-    backtracking. Returns (w [d, k], b [k], epochs run, converged)."""
+    """The linear probe's objective minimized independently of the probe:
+    row-major logits [n, k] = x @ w + b on the standardized float64 rows of
+    x, an L2 penalty on w only, full-batch gradient descent with
+    step-doubling Armijo backtracking. Returns (w [d, k], b [k], epochs
+    run, converged)."""
     n, d = x.shape
     rows = np.arange(n)
     onehot = np.eye(k)[y_index]

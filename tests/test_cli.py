@@ -44,8 +44,7 @@ REQUIRED_FLAGS = {
     "train": ["--manifest", "--out", "--iterations", "--batch-size", "--seed",
               "--resume"],
     "embed": ["--checkpoint", "--manifest", "--out", "--batch-size"],
-    "eval-linear": ["--train-emb", "--test-emb", "--reg-lambda", "--max-epochs",
-                    "--tol", "--report"],
+    "eval-linear": ["--train-emb", "--test-emb", "--reg-lambda", "--report"],
     "eval-knn": ["--train-emb", "--test-emb", "--k", "--metric", "--report"],
     "eval-loso": ["--emb", "--classifier", "--k", "--report"],
     "eval-kfold": ["--emb", "--classifier", "--k", "--folds", "--seed",
@@ -84,8 +83,6 @@ SHORTCUTS = [
     ("train", "--seed", "12", "run.seed", 12),
     ("embed", "--batch-size", "5", "embed.batch_size", 5),
     ("eval-linear", "--reg-lambda", "0.5", "eval.reg_lambda", 0.5),
-    ("eval-linear", "--max-epochs", "30", "eval.max_epochs", 30),
-    ("eval-linear", "--tol", "1", "eval.tol", 1.0),
     ("eval-knn", "--k", "3", "eval.k", 3),
     ("eval-knn", "--metric", "euclidean", "eval.metric", "euclidean"),
     ("eval-loso", "--classifier", "linear", "eval.classifier", "linear"),
@@ -429,7 +426,7 @@ class TestShortcutFlags:
 
     @pytest.mark.parametrize("command, flag, key, text, kind", [
         ("train", "--iterations", "train.iterations", "1e3", "int"),
-        ("eval-linear", "--tol", "eval.tol", "tiny", "float"),
+        ("eval-linear", "--reg-lambda", "eval.reg_lambda", "tiny", "float"),
         ("gen-synthetic", "--seed", "run.seed", "0.5", "int")])
     def test_bad_flag_value_reads_as_bad_set_value(self, capsys, command, flag,
                                                    key, text, kind):
@@ -446,7 +443,7 @@ class TestConfigPlumbing:
         assert back.values == cfg.values
 
     def test_resolved_defaults_match_golden(self):
-        # Pins all 57 keys and, through their formatting, their types:
+        # Pins all 55 keys and, through their formatting, their types:
         # floats print with a point.
         with open(os.path.join(GOLDEN_DIR, "config.resolved")) as fh:
             assert RunConfig().resolved_text() == fh.read()
@@ -496,11 +493,12 @@ class TestConfigPlumbing:
         assert resolved.get("run.seed") == 2
 
     def test_unknown_key_in_config_file(self, tmp_path, capsys):
-        # the removed multi-crop, determinism and crop-side keys are refused
-        # like any other unknown key, also in a config.resolved written before
+        # the removed multi-crop, determinism, crop-side and probe-stopping
+        # keys are refused like any other unknown key, also in a
+        # config.resolved written before
         cfg_file = tmp_path / "bad.cfg"
         for key in ("not.a_key", "crop.local_crops", "train.deterministic",
-                    "crop.global_size"):
+                    "crop.global_size", "eval.max_epochs", "eval.tol"):
             cfg_file.write_text(f"synth.n_images = 3\n{key} = 1\n")
             rc, _, err = run_cli(["gen-synthetic", "--config", str(cfg_file),
                                   "--out", str(tmp_path / "d")], capsys)
@@ -773,7 +771,7 @@ class TestAdapterTransparency:
         if kind == "knn":
             result = knn(tr, te, k=20, metric="cosine")
         else:
-            result = linear_probe(tr, te, reg_lambda=1e-4, max_epochs=500, tol=1e-6)
+            result = linear_probe(tr, te, reg_lambda=1e-4)
         expected = EvalReport(protocol=kind)
         expected.records.append(SplitRecord(
             train_tag=tr_path, test_tag=te_path,
@@ -783,14 +781,14 @@ class TestAdapterTransparency:
         with open(report_path) as fh, open(expected_path) as want:
             assert fh.read() == want.read()
 
-    def test_eval_linear_zero_epochs_refused(self, emb_files, tmp_path, capsys):
+    def test_eval_linear_zero_reg_lambda_refused(self, emb_files, tmp_path, capsys):
         tr_path, te_path = emb_files
         report_path = str(tmp_path / "lin.csv")
         rc, _, err = run_cli(["eval-linear", "--train-emb", tr_path,
-                              "--test-emb", te_path, "--max-epochs", "0",
+                              "--test-emb", te_path, "--reg-lambda", "0",
                               "--report", report_path], capsys)
         assert rc == 1
-        assert "max_epochs must be >= 1" in err
+        assert "reg_lambda must be finite and > 0" in err
         assert not os.path.exists(report_path)
 
     def test_eval_loso_matches_module_op(self, emb_files, tmp_path, capsys):
