@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .augment import CropSpec
+from .data import read_text
 from .errors import InputError
 from .objective import SslConfig
 from .synthetic import SynthConfig
@@ -152,11 +153,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), origin=path)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
+    return parse_config_text(read_text(path, "config file"), origin=path)
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> None:

@@ -1,4 +1,4 @@
-"""Sample extraction and manifest plumbing.
+"""Sample extraction, manifests, and the one reader and writer of text tables.
 
 Two ways to turn a stained smear micrograph into training units: disjoint
 fixed-size patches of the whole field, or tight single-cell crops cut out
@@ -8,6 +8,7 @@ along a labeled mask. Both return 8-bit RGB arrays of the configured size.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import os
 from dataclasses import dataclass
@@ -158,36 +159,68 @@ class ManifestRecord:
     label: str | None = None
 
 
-def save_manifest(path: str, records: list[ManifestRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at `path`; refuses a missing file, or a
+    byte that is not UTF-8, naming its line. `what` names the file's role."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line} is not UTF-8") from None
+
+
+def read_table(path: str, what: str,
+               columns: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """Each row of the UTF-8 CSV file at `path`, whose header names `columns`
+    in any order, as its line number and its fields in `columns` order. Blank
+    lines are skipped; a row without one field per column is refused."""
+    reader = csv.reader(io.StringIO(read_text(path, what), newline=""))
+    header = next(reader, [])
+    if sorted(header) != sorted(columns):
+        raise InputError(f"{path}: {what} header must be {','.join(columns)}, "
+                         f"got {header}")
+    order = [header.index(c) for c in columns]
+    rows = []
+    for fields in filter(None, reader):  # skips blank lines
+        if len(fields) != len(columns):
+            raise InputError(f"{path}: line {reader.line_num} does not have the "
+                             f"{len(columns)} fields {','.join(columns)}")
+        rows.append((reader.line_num, [fields[i] for i in order]))
+    return rows
+
+
+def write_table(path: str, columns: tuple[str, ...], rows) -> None:
+    """Writes `columns` as the header, then `rows`, as UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "kind", "source_id", "label"])
-        for r in records:
-            writer.writerow([r.path, r.kind, r.source_id, r.label or ""])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+MANIFEST_COLUMNS = ("path", "kind", "source_id", "label")
+
+
+def save_manifest(path: str, records: list[ManifestRecord]) -> None:
+    write_table(path, MANIFEST_COLUMNS,
+                ([r.path, r.kind, r.source_id, r.label or ""] for r in records))
 
 
 def load_manifest(path: str) -> list[ManifestRecord]:
-    if not os.path.exists(path):
-        raise InputError(f"manifest not found: {path}")
+    base = os.path.dirname(os.path.abspath(path))
     records: list[ManifestRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"path", "kind", "source_id", "label"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise InputError(
-                f"{path}: manifest header must be path,kind,source_id,label, "
-                f"got {reader.fieldnames}")
-        base = os.path.dirname(os.path.abspath(path))
-        for i, row in enumerate(reader):
-            p = row["path"]
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            if not os.path.exists(p):
-                raise InputError(f"{path}: row {i + 1}: file not found: {row['path']}")
-            if row["kind"] not in ("patch", "cell"):
-                raise InputError(f"{path}: row {i + 1}: bad kind {row['kind']!r}")
-            records.append(ManifestRecord(p, row["kind"], row["source_id"],
-                                          row["label"] or None))
+    for line, (rel, kind, source_id, label) in read_table(path, "manifest",
+                                                          MANIFEST_COLUMNS):
+        p = os.path.join(base, rel)  # an absolute `rel` stays as it is
+        if not os.path.isfile(p):
+            raise InputError(f"{path}: line {line}: file not found: {rel!r}")
+        if kind not in ("patch", "cell"):
+            raise InputError(f"{path}: line {line}: bad kind {kind!r}")
+        records.append(ManifestRecord(p, kind, source_id, label or None))
     kinds = {r.kind for r in records}
     if len(kinds) > 1:
         raise InputError(f"{path}: mixed sample kinds in one manifest: {sorted(kinds)}")

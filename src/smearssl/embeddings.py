@@ -7,8 +7,6 @@ row-major float32 matrix. Row metadata travels in a sidecar CSV
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ManifestRecord, load_images
+from .data import ManifestRecord, load_images, read_table, write_table
 from .errors import DimensionError, InputError, ParameterError
 from .trainer import keep_freed_memory, load_encoder
 
 MAGIC = b"EMB1"
+SIDECAR_COLUMNS = ("row", "id", "source_id", "label")
 
 
 @dataclass
@@ -68,11 +67,8 @@ def write_embeddings(path: str, emb: EmbeddingSet) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", n, d))
         fh.write(memoryview(np.ascontiguousarray(emb.vectors, dtype="<f4")))
-    with open(sidecar_path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "id", "source_id", "label"])
-        for i in range(n):
-            writer.writerow([i, emb.ids[i], emb.sources[i], emb.labels[i] or ""])
+    write_table(sidecar_path(path), SIDECAR_COLUMNS,
+                ([i, emb.ids[i], emb.sources[i], emb.labels[i] or ""] for i in range(n)))
 
 
 def read_embeddings(path: str) -> EmbeddingSet:
@@ -91,27 +87,14 @@ def read_embeddings(path: str) -> EmbeddingSet:
         vectors = np.empty((n, d), dtype="<f4")
         fh.readinto(memoryview(vectors.reshape(-1)).cast("B"))
     side = sidecar_path(path)
-    if not os.path.exists(side):
-        raise InputError(f"missing embedding sidecar: {side}")
-    with open(side, "rb") as fh:
-        raw_side = fh.read()
-    try:
-        text = raw_side.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw_side.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{side}: line {line} is not UTF-8") from None
     ids, sources, labels = [], [], []
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if set(reader.fieldnames or ()) != {"row", "id", "source_id", "label"}:
-        raise InputError(f"{side}: sidecar header must be row,id,source_id,"
-                         f"label, got {reader.fieldnames}")
-    for row in reader:
-        if None in row or None in row.values():  # too many or too few fields
-            raise InputError(f"{side}: line {reader.line_num} does not have the "
-                             "4 fields row,id,source_id,label")
-        ids.append(row["id"])
-        sources.append(row["source_id"])
-        labels.append(row["label"] or None)
+    for i, (line, (row, id_, source_id, label)) in enumerate(
+            read_table(side, "embedding sidecar", SIDECAR_COLUMNS)):
+        if row != str(i):
+            raise InputError(f"{side}: line {line}: row {row!r} is not its index {i}")
+        ids.append(id_)
+        sources.append(source_id)
+        labels.append(label or None)
     if len(ids) != n:
         raise InputError(f"{side}: {len(ids)} metadata rows for {n} vectors")
     return EmbeddingSet(vectors=vectors, ids=ids, sources=sources, labels=labels)

@@ -9,12 +9,12 @@ kinds: it adapts a spec to its kind's classifier and refuses any other kind.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_table
 from .embeddings import EmbeddingSet
 from .errors import ParameterError, ProtocolError
 from .metrics import METRIC_NAMES
@@ -145,22 +145,16 @@ def _fmt(x: float | None) -> str:
 
 
 def write_report_csv(path: str, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "train", "test", "n_train", "n_test",
-                         *METRIC_NAMES])
-        for r in report.records:
-            writer.writerow([report.protocol, r.train_tag, r.test_tag,
-                             r.n_train, r.n_test]
-                            + [_fmt(r.metrics[m]) for m in METRIC_NAMES])
-        agg = report.aggregates()
-        for i, stat in enumerate(("mean", "std")):
-            writer.writerow([report.protocol, "AGGREGATE", stat, "", ""]
-                            + [_fmt(agg[m][i]) for m in METRIC_NAMES])
-        if report.protocol == "loso":
-            for src, mm in loso_source_means(report).items():
-                writer.writerow([report.protocol, "AGGREGATE_SOURCE", src, "", ""]
-                                + [_fmt(mm[m]) for m in METRIC_NAMES])
+    rows = [(r.train_tag, r.test_tag, r.n_train, r.n_test, r.metrics) for r in report.records]
+    agg = report.aggregates()
+    rows += [("AGGREGATE", stat, "", "", {m: agg[m][i] for m in METRIC_NAMES})
+             for i, stat in enumerate(("mean", "std"))]
+    if report.protocol == "loso":
+        rows += [("AGGREGATE_SOURCE", src, "", "", means)
+                 for src, means in loso_source_means(report).items()]
+    write_table(path, ("protocol", "train", "test", "n_train", "n_test", *METRIC_NAMES),
+                ([report.protocol, *row[:4], *(_fmt(row[4][m]) for m in METRIC_NAMES)]
+                 for row in rows))
 
 
 def format_report(report: EvalReport) -> str:

@@ -193,17 +193,20 @@ def patch_count_formula(height: int, width: int, patch: int) -> int:
 
 
 def reference_linear_probe(x: np.ndarray, y_index: np.ndarray, k: int,
-                           reg_lambda: float, max_epochs: int, tol: float):
+                           reg_lambda: float, max_epochs: int, tol: float,
+                           start=None):
     """The linear probe's objective minimized independently of the probe:
     row-major logits [n, k] = x @ w + b on the standardized float64 rows of
     x, an L2 penalty on w only, full-batch gradient descent with
-    step-doubling Armijo backtracking. Returns (w [d, k], b [k], epochs
-    run, converged)."""
+    step-doubling Armijo backtracking from `start` = (w [d, k], b [k]), or
+    from zero. Returns (w [d, k], b [k], epochs run, converged)."""
     n, d = x.shape
     rows = np.arange(n)
     onehot = np.eye(k)[y_index]
-    w = np.zeros((d, k))
-    b = np.zeros(k)
+    if start is None:
+        w, b = np.zeros((d, k)), np.zeros(k)
+    else:
+        w, b = (np.array(a, dtype=np.float64) for a in start)
 
     def forward(wm, bv):
         logits = x @ wm + bv

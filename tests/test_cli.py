@@ -226,6 +226,21 @@ class TestExitCodes:
         assert rc == 1
         assert "config file not found" in err
 
+    def test_non_utf8_manifest_and_config_refused_naming_line(self, tmp_path,
+                                                               capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"path,kind,source_id,label\n\xff.ppm,patch,s,\n")
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"synth.n_images = 3\n# \xe9\n")
+        runs = [(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+                 f"error: {manifest}: line 2 is not UTF-8\n"),
+                (["gen-synthetic", "--config", str(config), "--out", str(tmp_path / "d")],
+                 f"error: {config}: line 2 is not UTF-8\n")]
+        for argv, expected in runs:  # an exception escaping main() fails the test
+            rc, _, err = run_cli(argv, capsys)
+            assert (rc, err) == (1, expected), argv
+        assert not (tmp_path / "o").exists() and not (tmp_path / "d").exists()
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         rc, _, err = run_cli(["eval-knn",
                               "--train-emb", str(tmp_path / "a.emb1"),

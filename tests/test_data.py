@@ -356,10 +356,12 @@ class TestManifest:
         assert back[0].source_id == "src0"
 
     def test_missing_file_rejected(self, tmp_path):
+        # an empty path names the manifest's directory, which is not a file
         mpath = str(tmp_path / "manifest.csv")
-        save_manifest(mpath, [ManifestRecord("ghost.ppm", "patch", "s", None)])
-        with pytest.raises(InputError, match="file not found"):
-            load_manifest(mpath)
+        for name in ("ghost.ppm", ""):
+            save_manifest(mpath, [ManifestRecord(name, "patch", "s", None)])
+            with pytest.raises(InputError, match="file not found"):
+                load_manifest(mpath)
 
     def test_mixed_kinds_rejected(self, tmp_path):
         d = str(tmp_path)
@@ -380,6 +382,18 @@ class TestManifest:
             fh.write("path,kind,source_id,label\nx.ppm,slide,s,\n")
         with pytest.raises(InputError, match="bad kind"):
             load_manifest(mpath)
+
+    @pytest.mark.parametrize("body, match", [
+        (b"x.ppm,patch\n", "line 2 does not have the 4 fields"),
+        (b"x.ppm,patch,s,,extra\n", "line 2 does not have the 4 fields"),
+        (b"x.ppm,patch,s,\n\xff.ppm,patch,s,\n", "line 3 is not UTF-8"),
+    ], ids=["too_few_fields", "too_many_fields", "not_utf8"])
+    def test_malformed_row_rejected_naming_line(self, tmp_path, body, match):
+        write_ppm(str(tmp_path / "x.ppm"), np.zeros((2, 2, 3), np.uint8))
+        mpath = tmp_path / "manifest.csv"
+        mpath.write_bytes(b"path,kind,source_id,label\n" + body)
+        with pytest.raises(InputError, match=rf"manifest\.csv: {match}"):
+            load_manifest(str(mpath))
 
     def test_bad_header_rejected(self, tmp_path):
         mpath = str(tmp_path / "manifest.csv")

@@ -374,9 +374,10 @@ class TestLinearProbe:
             assert np.linalg.norm(gradient(x, y, w.T, b, lam)) <= \
                 np.sqrt(k * (d + 1)) * n * eps, case
             assert iters <= 30, case
-            # No worse than 20,000 epochs of the referee's gradient descent,
-            # up to the rounding of f that the fit's own stopping test allows.
-            wr, br, _, _ = reference_linear_probe(x, y, k, lam, 20_000, 0.0)
+            # The referee's own gradient descent, started at the fit, finds no
+            # lower objective, up to the rounding of f that the fit's own
+            # stopping test allows.
+            wr, br, _, _ = reference_linear_probe(x, y, k, lam, 200, 0.0, start=(w.T, b))
             f, f_ref = objective(x, y, w.T, b, lam), objective(x, y, wr, br, lam)
             assert f <= f_ref + 4 * eps * max(f_ref, 1.0), case
 
@@ -695,6 +696,18 @@ class TestEmbeddingIO:
         with open(sidecar_path(path), "w") as fh:
             fh.write(f"row,id,source_id,label\n{bad_row}\n1,b,s,\n")
         with pytest.raises(InputError, match=r"e\.emb\.csv: line 2 "):
+            read_embeddings(path)
+
+    def test_sidecar_rows_out_of_order_rejected(self, tmp_path):
+        # swapped lines would attach each id, source and label to the other vector
+        emb = EmbeddingSet(np.zeros((2, 2), np.float32), ["a", "b"],
+                           ["s", "t"], [None, None])
+        path = str(tmp_path / "e.emb")
+        write_embeddings(path, emb)
+        with open(sidecar_path(path), "w") as fh:
+            fh.write("row,id,source_id,label\n1,b,t,\n0,a,s,\n")
+        with pytest.raises(InputError,
+                           match=r"e\.emb\.csv: line 2: row '1' is not its index 0"):
             read_embeddings(path)
 
     def test_missing_sidecar_rejected(self, tmp_path):
