@@ -13,7 +13,6 @@ Example:
 """
 
 import argparse
-import csv
 import logging
 import sys
 import time
@@ -22,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from smearssl import ablation
+from smearssl.data import write_table
 from smearssl.synthetic import gen_synthetic
 from smearssl.trainer import init_train_state
 from smearssl.vit import VitConfig
@@ -86,10 +86,7 @@ def main():
           f"baseline accuracy {baseline:.4f})")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_table(args.out, tuple(rows[0]), (r.values() for r in rows))
         print(f"wrote {args.out}", file=sys.stderr)
 
 

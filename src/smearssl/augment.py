@@ -42,6 +42,15 @@ class CropSpec:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.jitter_strength < 0 or self.blur_sigma <= 0:
             raise ParameterError("jitter_strength must be >= 0 and blur_sigma > 0")
+        # gaussian_blur stacks 2 * radius + 1 shifted copies of the view
+        radius = _blur_radius(self.blur_sigma)
+        if self.blur_p > 0 and radius >= self.global_size:
+            raise ParameterError(f"blur_sigma {self.blur_sigma} gives blur radius {radius}, "
+                                 f"not below the crop side {self.global_size}")
+
+
+def _blur_radius(sigma: float) -> int:
+    return max(1, int(round(3 * sigma)))
 
 
 def _taps(n: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,7 +109,7 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    radius = max(1, int(round(3 * sigma)))
+    radius = _blur_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel = (kernel / kernel.sum()).astype(np.float32)

@@ -148,8 +148,7 @@ def cmd_eval_kfold(args, cfg: RunConfig) -> int:
 def cmd_pca_map(args, cfg: RunConfig) -> int:
     encoder = load_encoder(args.checkpoint)
     image = read_ppm(args.image)
-    rgb, _, variances = pca_map(encoder, image,
-                                n_components=cfg.get("pca.components"))
+    rgb, _, variances = pca_map(encoder, image)
     write_ppm(args.out, rgb)
     write_resolved(cfg, args.out + ".config")
     log.info("explained variances: %s", np.array2string(variances, precision=4))
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="encoder checkpoint (.rdck)")
     p.add_argument("--image", required=True, help="input PPM image")
     p.add_argument("--out", required=True, help="output PPM feature map")
-    _key_flag(p, "--components", "pca.components", "component count")
 
     return parser
 

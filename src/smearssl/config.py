@@ -52,8 +52,6 @@ DEFAULTS: dict[str, object] = {
     "eval.metric": "cosine",
     "eval.reg_lambda": 1e-4,
     "eval.folds": 5,
-
-    "pca.components": 3,
 }
 
 

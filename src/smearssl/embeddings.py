@@ -17,6 +17,7 @@ import numpy as np
 from .data import ManifestRecord, load_images, read_table, write_table
 from .errors import DimensionError, InputError, ParameterError
 from .trainer import keep_freed_memory, load_encoder
+from .vit import check_image_shape
 
 MAGIC = b"EMB1"
 SIDECAR_COLUMNS = ("row", "id", "source_id", "label")
@@ -109,7 +110,8 @@ def embed(checkpoint_path: str, records: list[ManifestRecord],
     on two cores. A batch of one stays on the calling thread. On one BLAS
     build the rows are byte for byte those of a forward of the whole
     batch, and memory follows one batch, not the corpus. An error in
-    either half reaches the caller once the worker has stopped."""
+    either half reaches the caller once the worker has stopped; an image
+    the encoder cannot take is refused, by its path, before stacking."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     encoder = load_encoder(checkpoint_path)
@@ -120,8 +122,11 @@ def embed(checkpoint_path: str, records: list[ManifestRecord],
     rows = []
     with ThreadPoolExecutor(1) as worker:
         for start in range(0, len(records), batch_size):
-            chunk = load_images(records[start:start + batch_size])
-            batch = np.stack(chunk).astype(np.float32) / 255.0
+            chunk = records[start:start + batch_size]
+            images = load_images(chunk)
+            for r, img in zip(chunk, images):
+                check_image_shape(encoder.cfg, img.shape, f"{r.path}: ")
+            batch = np.stack(images).astype(np.float32) / 255.0
             half = (len(batch) + 1) // 2
             second = (worker.submit(encoder.forward, batch[half:])
                       if half < len(batch) else None)

@@ -43,8 +43,9 @@ class SslConfig:
         if self.centering not in CENTERING_MODES:
             raise ParameterError(
                 f"centering must be one of {CENTERING_MODES}, got {self.centering!r}")
-        if self.sinkhorn_iters < 1:
-            raise ParameterError("sinkhorn_iters must be >= 1")
+        for name in ("head_hidden", "bottleneck", "sinkhorn_iters"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
         if self.num_prototypes < 2:
             raise ParameterError("need at least 2 prototypes")
         if not 0.0 <= self.center_momentum < 1.0:

@@ -36,28 +36,25 @@ def top_components(x: np.ndarray, n_components: int = 3,
     return comps, np.maximum(lam[top], 0.0), mean
 
 
-def pca_map(encoder: VitEncoder, image: np.ndarray, n_components: int = 3,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projects the encoder's patch tokens for one image onto their top
-    principal components and renders them as an RGB map at input resolution.
+def pca_map(encoder: VitEncoder,
+            image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projects the encoder's patch tokens for one image onto their top three
+    principal components and renders them, one per channel, as an RGB map at
+    input resolution, the way DINOv2 shows its patch features.
 
-    Returns (rgb uint8 [H,W,3], components [k,d], explained variances [k]).
+    Returns (rgb uint8 [H,W,3], components [3,d], explained variances [3]).
     """
     cfg = encoder.cfg
     img = np.asarray(image)
     if img.dtype == np.uint8:
         img = img.astype(np.float32) / 255.0
     tokens = encoder.forward_tokens(img[None]).data[0].astype(np.float64)  # [N, d]
-    if tokens.shape[0] < n_components:
-        raise ProtocolError(f"{tokens.shape[0]} patch tokens cannot support "
-                            f"{n_components} components")
-    comps, variances, mean = top_components(tokens, n_components)
-    proj = (tokens - mean) @ comps.T  # [N, k]
+    comps, variances, mean = top_components(tokens, 3)
+    proj = (tokens - mean) @ comps.T  # [N, 3]
 
     g = cfg.grid
     channels = []
-    for c in range(n_components):
-        col = proj[:, c]
+    for col in proj.T:
         lo, hi = float(col.min()), float(col.max())
         if hi - lo > 0:
             scaled = (col - lo) / (hi - lo) * 255.0

@@ -59,8 +59,8 @@ class GradCell:
     """The gradient of one tensor, with the shape and dtype it must have.
     Records and closures keep cells, not tensors, so a tensor's ``data``
     lives only as long as a caller or a backward that reads it holds it.
-    ``later`` queues weight-gradient products that wait for the end of
-    ``Tape.backward``."""
+    A gradient enters only through ``accumulate``; ``later`` queues
+    weight-gradient products that wait for the end of ``Tape.backward``."""
 
     __slots__ = ("grad", "shape", "dtype", "later")
 
@@ -88,21 +88,6 @@ class GradCell:
             self.grad = np.array(g, dtype=self.dtype, order="C")
         else:
             self.grad += g
-
-    def accumulate_at(self, index, g: np.ndarray) -> None:
-        """Adds ``g`` into ``grad[index]``, a zero gradient if there is none."""
-        if self.later:
-            self.flush()
-        if self.grad is None:
-            self.grad = np.zeros(self.shape, self.dtype)
-        self.grad[index] += g
-
-    def defer(self, product: Callable[[], np.ndarray]) -> None:
-        """Queues ``product()`` to be added later, after the products queued
-        before it."""
-        if self.later is None:
-            self.later = []
-        self.later.append(product)
 
     def flush(self) -> None:
         """Computes and adds the waiting products, in the order queued."""
@@ -149,10 +134,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """``GradCell.accumulate`` on this tensor's cell."""
-        self.cell.accumulate(g, owned)
-
     def check_finite(self, context: str = "tensor") -> "Tensor":
         if not np.all(np.isfinite(self.data)):
             raise NumericError(f"non-finite values in {context}")
@@ -190,9 +171,6 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def record(self, out: Tensor, backward_fn: Callable) -> None:
-        self._records.append((out.cell, backward_fn))
-
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
         return self
@@ -226,7 +204,9 @@ def _run_record(record: tuple[GradCell, Callable], waiting: list[GradCell]) -> N
         later = fn(cell.grad)
         if later is not None:
             target, product = later
-            target.defer(product)
+            if target.later is None:
+                target.later = []
+            target.later.append(product)
             waiting.append(target)
 
 
@@ -285,7 +265,7 @@ def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, backward_fn)
+        tape._records.append((out.cell, backward_fn))
     return out
 
 
@@ -470,7 +450,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     ca = a.cell
 
     def backward(g):
-        ca.accumulate_at(idx, g)
+        full = np.zeros(ca.shape, ca.dtype)
+        full[idx] += g
+        ca.accumulate(full, owned=True)
 
     return _maybe_record(out, (a,), backward)
 

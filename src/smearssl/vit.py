@@ -64,15 +64,22 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.n
     return out.astype(np.float32)
 
 
+def check_image_shape(cfg: VitConfig, shape, origin: str = "") -> None:
+    """Refuses an image shape [H, W, C] the encoder cannot take; the message
+    starts with ``origin``."""
+    h, w, c = shape
+    if h != cfg.image_size or w != cfg.image_size:
+        raise DimensionError(
+            f"{origin}expected {cfg.image_size}x{cfg.image_size} images, got {h}x{w}"
+        )
+    if c != cfg.in_channels:
+        raise DimensionError(f"{origin}expected {cfg.in_channels} channels, got {c}")
+
+
 def images_to_patches(images: np.ndarray, cfg: VitConfig) -> np.ndarray:
     """[B,H,W,C] float array -> [B, N, patch*patch*C] row-major patch rows."""
     b, h, w, c = images.shape
-    if h != cfg.image_size or w != cfg.image_size:
-        raise DimensionError(
-            f"expected {cfg.image_size}x{cfg.image_size} images, got {h}x{w}"
-        )
-    if c != cfg.in_channels:
-        raise DimensionError(f"expected {cfg.in_channels} channels, got {c}")
+    check_image_shape(cfg, (h, w, c))
     p, g = cfg.patch_size, cfg.grid
     x = images.reshape(b, g, p, g, p, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)

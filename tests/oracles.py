@@ -356,7 +356,7 @@ def reference_softmax(a: T.Tensor) -> T.Tensor:
     out = T.Tensor(s)
 
     def backward(g):
-        a.accumulate_grad(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        a.cell.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     return T._maybe_record(out, (a,), backward)
 

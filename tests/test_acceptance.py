@@ -630,7 +630,7 @@ def test_criterion_10_pca_map():
                  and s.overlay_mask.sum() > 0]
     hits = 0
     for s in parasites[:4]:
-        rgb, _, _ = pca_map(encoder, s.image.pixels, n_components=3)
+        rgb, _, _ = pca_map(encoder, s.image.pixels)
         c1 = rgb[..., 0].astype(np.float64)
         inside = s.overlay_mask
         if c1[inside].var() > c1[~inside].var():

@@ -20,7 +20,7 @@ from smearssl.checkpoint import _encode_config, write_checkpoint
 from smearssl.cli import build_parser, main
 from smearssl.config import (DEFAULTS, RunConfig, apply_overrides, load_config,
                              parse_config_text)
-from smearssl.data import load_manifest
+from smearssl.data import load_manifest, save_manifest
 from smearssl.embeddings import EmbeddingSet, read_embeddings, write_embeddings
 from smearssl.errors import InputError, NumericError
 from smearssl.netpbm import read_ppm, write_ppm
@@ -49,7 +49,7 @@ REQUIRED_FLAGS = {
     "eval-loso": ["--emb", "--classifier", "--k", "--report"],
     "eval-kfold": ["--emb", "--classifier", "--k", "--folds", "--seed",
                    "--report"],
-    "pca-map": ["--checkpoint", "--image", "--out", "--components"],
+    "pca-map": ["--checkpoint", "--image", "--out"],
 }
 
 # each command's handler, and its required flags with values that no test of
@@ -91,7 +91,6 @@ SHORTCUTS = [
     ("eval-kfold", "--k", "4", "eval.k", 4),
     ("eval-kfold", "--folds", "3", "eval.folds", 3),
     ("eval-kfold", "--seed", "13", "run.seed", 13),
-    ("pca-map", "--components", "2", "pca.components", 2),
 ]
 
 TINY_SETS = [
@@ -327,7 +326,9 @@ class TestExitCodes:
         ("ssl.student_temp", "inf"), ("train.weight_decay", "nan"),
         ("train.weight_decay", "-0.1"), ("train.base_lr", "nan"),
         ("train.final_lr", "inf"), ("vit.mlp_ratio", "0.01"),
-        ("vit.mlp_ratio", "nan")])
+        ("vit.mlp_ratio", "nan"), ("ssl.head_hidden", "0"),
+        ("ssl.bottleneck", "0"), ("ssl.head_hidden", "-1"),
+        ("ssl.bottleneck", "-1")])
     def test_bad_training_value_is_validation_error(self, dataset, tmp_path,
                                                     capsys, key, value):
         rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
@@ -336,13 +337,11 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error: ") and key.split(".")[1] in err
         assert "Traceback" not in err
-        assert not (tmp_path / "o" / "state.rdck").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag, text, message", [
         ("embed", "--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("embed", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
-        ("pca-map", "--components", "0", "n_components must be >= 1, got 0"),
-        ("pca-map", "--components", "-1", "n_components must be >= 1, got -1"),
         ("patchify", "--patch", "0", "patch side must be >= 1, got 0"),
         ("patchify", "--patch", "-4", "patch side must be >= 1, got -4"),
         ("extract-cells", "--cell-size", "0", "crop side must be >= 1, got 0"),
@@ -356,8 +355,6 @@ class TestExitCodes:
         inputs = {
             "embed": ["--checkpoint", str(trained / "checkpoint.rdck"),
                       "--manifest", str(dataset / "manifest.csv")],
-            "pca-map": ["--checkpoint", str(trained / "checkpoint.rdck"),
-                        "--image", image],
             "patchify": ["--image", image],
             "extract-cells": ["--image", image,
                               "--mask", image.replace(".ppm", "_mask.pgm")],
@@ -458,7 +455,7 @@ class TestConfigPlumbing:
         assert back.values == cfg.values
 
     def test_resolved_defaults_match_golden(self):
-        # Pins all 55 keys and, through their formatting, their types:
+        # Pins all 54 keys and, through their formatting, their types:
         # floats print with a point.
         with open(os.path.join(GOLDEN_DIR, "config.resolved")) as fh:
             assert RunConfig().resolved_text() == fh.read()
@@ -508,12 +505,13 @@ class TestConfigPlumbing:
         assert resolved.get("run.seed") == 2
 
     def test_unknown_key_in_config_file(self, tmp_path, capsys):
-        # the removed multi-crop, determinism, crop-side and probe-stopping
-        # keys are refused like any other unknown key, also in a
-        # config.resolved written before
+        # the removed multi-crop, determinism, crop-side, probe-stopping and
+        # component-count keys are refused like any other unknown key, also
+        # in a config.resolved written before
         cfg_file = tmp_path / "bad.cfg"
         for key in ("not.a_key", "crop.local_crops", "train.deterministic",
-                    "crop.global_size", "eval.max_epochs", "eval.tol"):
+                    "crop.global_size", "eval.max_epochs", "eval.tol",
+                    "pca.components"):
             cfg_file.write_text(f"synth.n_images = 3\n{key} = 1\n")
             rc, _, err = run_cli(["gen-synthetic", "--config", str(cfg_file),
                                   "--out", str(tmp_path / "d")], capsys)
@@ -718,6 +716,22 @@ class TestTrainCommands:
         assert emb.dim == 16
         assert os.path.isfile(out + ".csv")
         assert os.path.isfile(out + ".config")
+
+    def test_embed_refuses_an_image_of_another_size_by_its_path(
+            self, dataset, trained, tmp_path, capsys):
+        records = load_manifest(str(dataset / "manifest.csv"))
+        rc, _, _ = run_cli(["patchify", "--image", records[0].path,
+                            "--out", str(tmp_path / "tiles"), "--patch", "32"],
+                           capsys)
+        assert rc == 0
+        tile = load_manifest(str(tmp_path / "tiles" / "manifest.csv"))[0]
+        manifest = str(tmp_path / "mixed.csv")
+        save_manifest(manifest, [records[0], tile])  # 64 px, then 32 px
+        out = tmp_path / "mixed.emb1"
+        rc, _, err = run_cli(["embed", "--checkpoint", str(trained / "checkpoint.rdck"),
+                              "--manifest", manifest, "--out", str(out)], capsys)
+        assert (rc, err) == (1, f"error: {tile.path}: expected 64x64 images, got 32x32\n")
+        assert not out.exists()
 
     def test_pca_map_output(self, dataset, trained, tmp_path, capsys):
         records = load_manifest(str(dataset / "manifest.csv"))

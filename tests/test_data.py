@@ -322,6 +322,14 @@ class TestMulticrop:
         with pytest.raises(ParameterError, match=field):
             CropSpec(**{field: value})
 
+    def test_blur_radius_must_stay_below_crop_side(self):
+        # the constructor only: gaussian_blur stacks 2 * radius + 1 shifted
+        # copies of a view, so a blur this wide is never run
+        with pytest.raises(ParameterError, match="blur_sigma"):
+            CropSpec(global_size=64, blur_sigma=63.6 / 3)  # radius 64
+        CropSpec(global_size=64, blur_sigma=63.4 / 3)  # radius 63
+        CropSpec(global_size=64, blur_p=0.0, blur_sigma=1e6)  # never blurs
+
     def test_resize_bilinear_identity(self, rng):
         img = rng.uniform(size=(17, 23, 3)).astype(np.float32)
         np.testing.assert_allclose(resize_bilinear(img, 17, 23), img, atol=1e-6)

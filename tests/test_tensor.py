@@ -162,7 +162,7 @@ class TestGradients:
     def test_first_gradient_is_a_copy_in_tensor_dtype(self):
         x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.array([1.0, 2.0, 3.0])
-        x.accumulate_grad(g)
+        x.cell.accumulate(g)
         g[:] = 7.0
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
@@ -170,12 +170,12 @@ class TestGradients:
     def test_owned_first_gradient_is_kept_unless_it_needs_a_cast(self):
         x = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        x.accumulate_grad(g, owned=True)
+        x.cell.accumulate(g, owned=True)
         assert x.grad is g
-        x.accumulate_grad(g.copy(), owned=True)
+        x.cell.accumulate(g.copy(), owned=True)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
         y = T.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        y.accumulate_grad(np.array([1.0, 2.0, 3.0]), owned=True)
+        y.cell.accumulate(np.array([1.0, 2.0, 3.0]), owned=True)
         assert y.grad.dtype == np.float32
 
     @pytest.mark.parametrize("other_path", [False, True])
@@ -474,7 +474,7 @@ class TestTapeMechanics:
 
         def first_record(g):
             seen.append((len(tape), w.grad))
-            x.accumulate_grad(g)
+            x.cell.accumulate(g)
 
         with T.Tape() as tape:
             h = T._maybe_record(T.Tensor(x.data.copy()), (x,), first_record)
@@ -593,7 +593,7 @@ class TestTapeMechanics:
     def test_accumulate_grad_shape_mismatch(self):
         x = t64(np.zeros((2, 3)))
         with pytest.raises(T.DimensionError):
-            x.accumulate_grad(np.zeros((3, 2)))
+            x.cell.accumulate(np.zeros((3, 2)))
 
 
 @settings(max_examples=40, deadline=None)
