@@ -20,13 +20,14 @@ from .config import DEFAULTS, RunConfig, apply_overrides, load_config, write_res
 from .data import (ManifestRecord, SmearImage, extract_cells, load_images,
                    load_manifest, patchify, save_manifest)
 from .embeddings import embed, read_embeddings, write_embeddings
-from .errors import SmearSslError, ValidationError
+from .errors import DimensionError, SmearSslError, ValidationError
 from .netpbm import read_pgm, read_ppm, write_ppm
 from .pca import pca_map
 from .protocols import (EvalReport, format_report, kfold, leave_one_source_out,
                         write_report_csv)
 from .synthetic import gen_synthetic, write_dataset
 from .trainer import load_encoder, train
+from .vit import check_image_shape
 
 log = logging.getLogger("smearssl")
 
@@ -62,7 +63,7 @@ def _emit_report(report: EvalReport, path: str | None) -> None:
 # --- command handlers -------------------------------------------------------
 
 def cmd_gen_synthetic(args, cfg: RunConfig) -> int:
-    samples = gen_synthetic(cfg.synth_config())
+    samples = gen_synthetic(cfg.build("synth"))
     manifest = write_dataset(args.out, samples, with_masks=not args.no_masks)
     write_resolved(cfg, os.path.join(args.out, "config.resolved"))
     log.info("wrote %d images (+masks) and %s", len(samples), manifest)
@@ -97,7 +98,10 @@ def cmd_patchify(args, cfg: RunConfig) -> int:
 
 def cmd_extract_cells(args, cfg: RunConfig) -> int:
     img = _read_smear(args)
-    crops, skipped = extract_cells(img, read_pgm(args.mask), cfg.get("data.cell_size"))
+    try:
+        crops, skipped = extract_cells(img, read_pgm(args.mask), cfg.get("data.cell_size"))
+    except DimensionError as exc:  # the mask's shape, the one extent it checks
+        raise DimensionError(f"{args.mask}: {exc}") from None
     _write_crops(args, cfg, img.image_id, crops, "cell")
     log.info("wrote %d cell crops (%d skipped) to %s", len(crops), skipped, args.out)
     return 0
@@ -106,8 +110,8 @@ def cmd_extract_cells(args, cfg: RunConfig) -> int:
 def cmd_train(args, cfg: RunConfig) -> int:
     records = load_manifest(args.manifest)
     images = load_images(records)
-    state = train(images, cfg.vit_config(), cfg.ssl_config(), cfg.train_config(),
-                  cfg.crop_spec(), args.out, resume=args.resume)
+    state = train(images, cfg.build("vit"), cfg.build("ssl"), cfg.build("train"),
+                  cfg.build("crop"), args.out, resume=args.resume)
     write_resolved(cfg, os.path.join(args.out, "config.resolved"))
     log.info("finished at iteration %d; checkpoint in %s", state.iteration, args.out)
     return 0
@@ -148,6 +152,7 @@ def cmd_eval_kfold(args, cfg: RunConfig) -> int:
 def cmd_pca_map(args, cfg: RunConfig) -> int:
     encoder = load_encoder(args.checkpoint)
     image = read_ppm(args.image)
+    check_image_shape(encoder.cfg, image.shape, f"{args.image}: ")
     rgb, _, variances = pca_map(encoder, image)
     write_ppm(args.out, rgb)
     write_resolved(cfg, args.out + ".config")

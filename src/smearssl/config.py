@@ -19,8 +19,8 @@ from .trainer import TrainConfig
 from .vit import VitConfig
 
 # Each section's keys are its dataclass's fields, with their defaults, except
-# that run.seed sets `seed`, vit.image_size sets `global_size`, the two ends of
-# `global_scale` are crop.global_scale_lo/hi, and `in_channels` is not a key.
+# that run.seed sets `seed`, vit.image_size sets `global_size`, and the two
+# ends of `global_scale` are crop.global_scale_lo/hi.
 _SECTIONS = {"vit": VitConfig, "ssl": SslConfig, "train": TrainConfig,
              "crop": CropSpec, "synth": SynthConfig}
 
@@ -31,7 +31,7 @@ def _section_defaults() -> dict[str, object]:
         for f in fields(cls):
             if f.name == "global_scale":
                 out["crop.global_scale_lo"], out["crop.global_scale_hi"] = f.default
-            elif f.name not in ("seed", "in_channels", "global_size"):
+            elif f.name not in ("seed", "global_size"):
                 out[f"{section}.{f.name}"] = f.default
     return out
 
@@ -89,7 +89,8 @@ class RunConfig:
             raise InputError(f"unknown config key: {key}")
         self.values[key] = _parse_value(key, raw)
 
-    def _build(self, section: str):
+    def build(self, section: str):
+        """The dataclass of `section` (vit, ssl, train, crop or synth)."""
         cls = _SECTIONS[section]
         kw = {k.split(".", 1)[1]: v for k, v in self.values.items()
               if k.startswith(section + ".")}
@@ -99,21 +100,6 @@ class RunConfig:
         if "seed" in {f.name for f in fields(cls)}:
             kw["seed"] = self.get("run.seed")
         return cls(**kw)
-
-    def vit_config(self) -> VitConfig:
-        return self._build("vit")
-
-    def ssl_config(self) -> SslConfig:
-        return self._build("ssl")
-
-    def train_config(self) -> TrainConfig:
-        return self._build("train")
-
-    def crop_spec(self) -> CropSpec:
-        return self._build("crop")
-
-    def synth_config(self) -> SynthConfig:
-        return self._build("synth")
 
     def classifier_spec(self) -> dict:
         g = self.get

@@ -24,10 +24,9 @@ class VitConfig:
     depth: int = 2
     heads: int = 4
     mlp_ratio: float = 4.0
-    in_channels: int = 3
 
     def __post_init__(self):
-        for field in ("image_size", "patch_size", "embed_dim", "depth", "heads", "in_channels"):
+        for field in ("image_size", "patch_size", "embed_dim", "depth", "heads"):
             if getattr(self, field) < 1:
                 raise ParameterError(f"{field} must be >= 1")
         if self.image_size % self.patch_size != 0:
@@ -65,15 +64,15 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.n
 
 
 def check_image_shape(cfg: VitConfig, shape, origin: str = "") -> None:
-    """Refuses an image shape [H, W, C] the encoder cannot take; the message
-    starts with ``origin``."""
+    """Refuses an image shape [H, W, C] the encoder cannot take: it takes RGB
+    (C = 3) at side image_size. The message starts with ``origin``."""
     h, w, c = shape
     if h != cfg.image_size or w != cfg.image_size:
         raise DimensionError(
             f"{origin}expected {cfg.image_size}x{cfg.image_size} images, got {h}x{w}"
         )
-    if c != cfg.in_channels:
-        raise DimensionError(f"{origin}expected {cfg.in_channels} channels, got {c}")
+    if c != 3:
+        raise DimensionError(f"{origin}expected 3 channels, got {c}")
 
 
 def images_to_patches(images: np.ndarray, cfg: VitConfig) -> np.ndarray:
@@ -90,7 +89,7 @@ def vit_param_shapes(cfg: VitConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape, by name, in the order the checkpoint writes
     them and `init_vit_params` draws them."""
     d, hidden = cfg.embed_dim, cfg.mlp_hidden
-    shapes = {"patch_proj.weight": (cfg.patch_size**2 * cfg.in_channels, d),
+    shapes = {"patch_proj.weight": (cfg.patch_size**2 * 3, d),
               "patch_proj.bias": (d,), "pos_embed": (cfg.num_patches + 1, d),
               "cls_token": (d,)}
     for i in range(cfg.depth):

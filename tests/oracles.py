@@ -460,7 +460,7 @@ def vit_param_count(cfg: VitConfig) -> int:
     """Closed-form parameter count for an encoder built from ``cfg``."""
     d = cfg.embed_dim
     h = cfg.mlp_hidden
-    stem = cfg.patch_size**2 * cfg.in_channels * d + d
+    stem = cfg.patch_size**2 * 3 * d + d
     pos = (cfg.num_patches + 1) * d
     cls = d
     block = (

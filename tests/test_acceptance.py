@@ -616,7 +616,7 @@ def test_criterion_10_pca_map():
     for s in samples[:6]:
         img = s.image.pixels.astype(np.float32) / 255.0
         tokens = encoder.forward_tokens(img[None]).data[0].astype(np.float64)
-        comps, variances, mean = top_components(tokens, 3)
+        comps, variances, mean = top_components(tokens)
         gram = comps @ comps.T
         ortho_worst = max(ortho_worst,
                           float(np.abs(gram - np.eye(3)).max()))

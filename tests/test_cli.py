@@ -23,7 +23,7 @@ from smearssl.config import (DEFAULTS, RunConfig, apply_overrides, load_config,
 from smearssl.data import load_manifest, save_manifest
 from smearssl.embeddings import EmbeddingSet, read_embeddings, write_embeddings
 from smearssl.errors import InputError, NumericError
-from smearssl.netpbm import read_ppm, write_ppm
+from smearssl.netpbm import read_ppm, write_pgm16, write_ppm
 from smearssl.probes import knn, linear_probe
 from smearssl.protocols import (EvalReport, SplitRecord, kfold,
                                 leave_one_source_out, write_report_csv)
@@ -601,6 +601,18 @@ class TestDataCommands:
         crop = read_ppm(made[0].path)
         assert crop.shape == (32, 32, 3)
 
+    def test_extract_cells_refuses_a_mask_of_another_shape_by_its_path(
+            self, dataset, tmp_path, capsys):
+        image = load_manifest(str(dataset / "manifest.csv"))[0].path
+        mask = str(tmp_path / "small_mask.pgm")
+        write_pgm16(mask, np.ones((10, 10), np.uint16))
+        out = tmp_path / "cells"
+        rc, _, err = run_cli(["extract-cells", "--image", image, "--mask", mask,
+                              "--out", str(out)], capsys)
+        assert (rc, err) == (1, f"error: {mask}: mask shape (10, 10) does not match "
+                                "image (64, 64)\n")
+        assert not out.exists()
+
 
 class TestTrainCommands:
     def test_train_writes_artifacts(self, trained):
@@ -621,8 +633,7 @@ class TestTrainCommands:
         apply_overrides(cfg, list(TINY_SETS))
         cfg.set("run.seed", "5")
         cfg.set("train.iterations", "0")
-        ref = init_train_state(cfg.vit_config(), cfg.ssl_config(),
-                               cfg.train_config())
+        ref = init_train_state(cfg.build("vit"), cfg.build("ssl"), cfg.build("train"))
         enc = load_encoder(str(out / "checkpoint.rdck"))
         assert enc.params.keys() == ref.teacher_enc.params.keys()
         for name, p in enc.params.items():
@@ -744,6 +755,17 @@ class TestTrainCommands:
         rgb = read_ppm(out)
         assert rgb.shape == (64, 64, 3)
         assert os.path.isfile(out + ".config")
+
+    def test_pca_map_refuses_an_image_of_another_size_by_its_path(
+            self, dataset, trained, tmp_path, capsys):
+        records = load_manifest(str(dataset / "manifest.csv"))
+        image = str(tmp_path / "small.ppm")
+        write_ppm(image, read_ppm(records[0].path)[:32, :32])
+        out = tmp_path / "map.ppm"
+        rc, _, err = run_cli(["pca-map", "--checkpoint", str(trained / "checkpoint.rdck"),
+                              "--image", image, "--out", str(out)], capsys)
+        assert (rc, err) == (1, f"error: {image}: expected 64x64 images, got 32x32\n")
+        assert sorted(os.listdir(tmp_path)) == ["small.ppm"]
 
 
 class TestAdapterTransparency:

@@ -864,17 +864,17 @@ class TestEmbed:
 class TestPca:
     def test_components_orthonormal(self, rng):
         x = rng.normal(size=(40, 8)) * np.array([5, 3, 2, 1, 1, 1, 0.5, 0.1])
-        comps, variances, _ = top_components(x, 3)
+        comps, variances, _ = top_components(x)
         np.testing.assert_allclose(comps @ comps.T, np.eye(3), atol=1e-6)
 
     def test_variances_non_increasing(self, rng):
         x = rng.normal(size=(50, 10))
-        _, variances, _ = top_components(x, 3)
+        _, variances, _ = top_components(x)
         assert variances[0] >= variances[1] >= variances[2] >= 0
 
     def test_matches_dense_eigensolver(self, rng):
         x = rng.normal(size=(60, 7)) * np.array([6, 4, 2.5, 1.5, 0.8, 0.3, 0.1])
-        comps, variances, mean = top_components(x, 3)
+        comps, variances, mean = top_components(x)
         o_comps, o_vars, _ = dense_pca(x, 3)
         np.testing.assert_allclose(variances, o_vars, atol=1e-5)
         np.testing.assert_allclose(comps, o_comps, atol=1e-5)
@@ -887,7 +887,7 @@ class TestPca:
         # returned sample variance, and no orthonormal 3-frame of 100 random
         # ones captures more variance than the returned frame
         x = rng.normal(size=(80, 6)) @ rng.normal(size=(6, 6))
-        comps, variances, mean = top_components(x, 3)
+        comps, variances, mean = top_components(x)
         xc = x - mean
         np.testing.assert_allclose((xc @ comps.T).var(axis=0, ddof=1),
                                    variances, rtol=1e-9)
@@ -899,13 +899,17 @@ class TestPca:
     def test_rank_deficient_input_survives(self, rng):
         basis = rng.normal(size=(2, 6))
         x = rng.normal(size=(30, 2)) @ basis
-        comps, variances, _ = top_components(x, 3)
+        comps, variances, _ = top_components(x)
         assert variances[2] < 1e-9
         np.testing.assert_allclose(comps @ comps.T, np.eye(3), atol=1e-6)
 
     def test_too_few_rows_rejected(self, rng):
         with pytest.raises(ProtocolError):
-            top_components(rng.normal(size=(1, 5)), 3)
+            top_components(rng.normal(size=(1, 5)))
+
+    def test_too_few_columns_rejected(self, rng):
+        with pytest.raises(ProtocolError, match="3 components from 10x2"):
+            top_components(rng.normal(size=(10, 2)))
 
     def test_map_shape_and_range(self, rng):
         enc = seeded_encoder(VitConfig())
@@ -917,6 +921,12 @@ class TestPca:
             assert rgb[:, :, c].min() == 0
             assert rgb[:, :, c].max() == 255
         assert comps.shape[0] == 3 and variances.shape == (3,)
+
+    def test_map_refuses_float_pixels(self, rng):
+        enc = seeded_encoder(VitConfig())
+        img = rng.random((64, 64, 3)).astype(np.float32)
+        with pytest.raises(InputError, match="uint8"):
+            pca_map(enc, img)
 
     def test_map_deterministic(self, rng):
         enc = seeded_encoder(VitConfig())

@@ -688,6 +688,29 @@ class TestPersistence:
         np.testing.assert_array_equal(enc.forward(probe).data,
                                       state.teacher_enc.forward(probe).data)
 
+    def test_loads_files_whose_config_has_in_channels(self, tmp_path):
+        # files written while VitConfig had a channel count end their config
+        # block with `in_channels=3`; the loaders ignore that line
+        cfg = tiny_train_cfg()
+        state = init_train_state(TINY_VIT, TINY_SSL, cfg)
+        enc_path, state_path = tmp_path / "enc.rdck", tmp_path / "state.rdck"
+        export_teacher(str(enc_path), state)
+        save_train_state(str(state_path), state)
+        new = _rdck(_encode_config(TINY_VIT))[:-4]  # magic, version, config
+        old = _rdck(_encode_config(TINY_VIT) + b"in_channels=3\n")[:-4]
+        for path in (enc_path, state_path):
+            raw = path.read_bytes()
+            assert raw.startswith(new)
+            path.write_bytes(old + raw[len(new):])
+        enc = load_encoder(str(enc_path))
+        back = load_train_state(str(state_path), TINY_SSL, cfg)
+        assert enc.cfg == back.vit_cfg == TINY_VIT
+        for name, p in state.teacher_enc.params.items():
+            np.testing.assert_array_equal(enc.params[name].data, p.data)
+        again = tmp_path / "again.rdck"
+        save_train_state(str(again), back)
+        assert old + again.read_bytes()[len(new):] == state_path.read_bytes()
+
     def test_load_rejects_state_of_another_head(self, tmp_path):
         cfg = tiny_train_cfg()
         path = str(tmp_path / "state.rdck")
@@ -770,15 +793,15 @@ class TestStreamingWriter:
 
 class TestCheckpointHeader:
     OTHER = VitConfig(image_size=96, patch_size=16, embed_dim=48, depth=3,
-                      heads=6, mlp_ratio=2.5, in_channels=1)
+                      heads=6, mlp_ratio=2.5)
 
     def test_encoded_bytes_match_golden(self):
         assert _encode_config(VitConfig()) == (
             b"image_size=64\npatch_size=8\nembed_dim=64\ndepth=2\nheads=4\n"
-            b"mlp_ratio=4.0\nin_channels=3\n")
+            b"mlp_ratio=4.0\n")
         assert _encode_config(self.OTHER) == (
             b"image_size=96\npatch_size=16\nembed_dim=48\ndepth=3\nheads=6\n"
-            b"mlp_ratio=2.5\nin_channels=1\n")
+            b"mlp_ratio=2.5\n")
 
     def test_decode_restores_types(self):
         back = _decode_config(_encode_config(self.OTHER))
