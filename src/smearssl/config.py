@@ -19,10 +19,13 @@ from .trainer import TrainConfig
 from .vit import VitConfig
 
 # Each section's keys are its dataclass's fields, with their defaults, except
-# that run.seed sets `seed`, vit.image_size sets `global_size`, and the two
-# ends of `global_scale` are crop.global_scale_lo/hi.
+# the fields another key sets (_DERIVED), and the two ends of `global_scale`,
+# which are crop.global_scale_lo/hi.
 _SECTIONS = {"vit": VitConfig, "ssl": SslConfig, "train": TrainConfig,
              "crop": CropSpec, "synth": SynthConfig}
+# field -> the key that sets it
+_DERIVED = {"train.seed": "run.seed", "synth.seed": "run.seed",
+            "crop.global_size": "vit.image_size", "synth.image_size": "vit.image_size"}
 
 
 def _section_defaults() -> dict[str, object]:
@@ -31,7 +34,7 @@ def _section_defaults() -> dict[str, object]:
         for f in fields(cls):
             if f.name == "global_scale":
                 out["crop.global_scale_lo"], out["crop.global_scale_hi"] = f.default
-            elif f.name not in ("seed", "global_size"):
+            elif f"{section}.{f.name}" not in _DERIVED:
                 out[f"{section}.{f.name}"] = f.default
     return out
 
@@ -91,15 +94,12 @@ class RunConfig:
 
     def build(self, section: str):
         """The dataclass of `section` (vit, ssl, train, crop or synth)."""
-        cls = _SECTIONS[section]
-        kw = {k.split(".", 1)[1]: v for k, v in self.values.items()
+        values = {**self.values, **{k: self.get(src) for k, src in _DERIVED.items()}}
+        kw = {k.split(".", 1)[1]: v for k, v in values.items()
               if k.startswith(section + ".")}
         if section == "crop":
             kw["global_scale"] = (kw.pop("global_scale_lo"), kw.pop("global_scale_hi"))
-            kw["global_size"] = self.get("vit.image_size")
-        if "seed" in {f.name for f in fields(cls)}:
-            kw["seed"] = self.get("run.seed")
-        return cls(**kw)
+        return _SECTIONS[section](**kw)
 
     def classifier_spec(self) -> dict:
         g = self.get

@@ -42,14 +42,6 @@ class SmearImage:
             raise InputError("SmearImage.source_id must be nonempty")
         self.pixels = px
 
-    @property
-    def height(self) -> int:
-        return int(self.pixels.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.pixels.shape[1])
-
 
 def _check_resize_fits(what: str, out_h: int, out_w: int) -> None:
     """Refuses, before anything is allocated, a resize to out_h x out_w
@@ -77,7 +69,7 @@ def patchify(img: SmearImage, patch: int) -> list[np.ndarray]:
     short side equals the patch; remainder margins are discarded."""
     if patch < 1:
         raise ParameterError(f"patch side must be >= 1, got {patch}")
-    h, w = img.height, img.width
+    h, w = img.pixels.shape[:2]
     if h * w == 0:
         raise InputError("degenerate image with zero area")
     pixels = img.pixels
@@ -125,7 +117,7 @@ def extract_cells(img: SmearImage, mask: np.ndarray,
     crops: list[np.ndarray] = []
     skipped = 0
     pad_color = _median_border_color(img.pixels)
-    h, w = img.height, img.width
+    h, w = img.pixels.shape[:2]
     for lab in labels:
         ys, xs = np.nonzero(mask == lab)
         if ys.size < MIN_CELL_PIXELS:

@@ -66,7 +66,7 @@ class SynthConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.image_size < 16:
-            raise ParameterError("image_size must be >= 16")
+            raise ParameterError(f"image_size must be >= 16, got {self.image_size}")
         if not 1 <= self.cells_min <= self.cells_max:
             raise ParameterError("need 1 <= cells_min <= cells_max")
         if not 0.0 < self.cell_radius_lo <= self.cell_radius_hi < 0.5:
@@ -84,7 +84,6 @@ class SynthConfig:
 class SynthSample:
     image: SmearImage
     label: str
-    class_index: int
     mask: np.ndarray  # uint16 [H, W], 0 background, k per cell
     overlay_mask: np.ndarray | None  # bool [H, W] for the parasite class
 
@@ -195,8 +194,8 @@ def _render_image(cfg: SynthConfig, index: int, source: int, cls: int) -> SynthS
 
     image = SmearImage(pixels=pixels, source_id=f"src{source}",
                        image_id=f"img{index:05d}_src{source}")
-    return SynthSample(image=image, label=CLASS_NAMES[cls], class_index=cls,
-                       mask=mask, overlay_mask=overlay if CLASS_NAMES[cls] == "parasite" else None)
+    return SynthSample(image=image, label=CLASS_NAMES[cls], mask=mask,
+                       overlay_mask=overlay if CLASS_NAMES[cls] == "parasite" else None)
 
 
 def gen_synthetic(cfg: SynthConfig) -> list[SynthSample]:

@@ -69,10 +69,6 @@ class TrainConfig:
             if not 0.0 <= m <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1]")
 
-    @property
-    def warmup_iters(self) -> int:
-        return int(self.warmup_frac * self.iterations)
-
 
 def schedule(iteration: int, cfg: TrainConfig) -> dict[str, float]:
     """Linear warmup to base_lr then cosine to final_lr; cosine teacher
@@ -80,7 +76,7 @@ def schedule(iteration: int, cfg: TrainConfig) -> dict[str, float]:
     if not 0 <= iteration < cfg.iterations:
         raise ParameterError(
             f"iteration {iteration} outside [0, {cfg.iterations})")
-    warm = cfg.warmup_iters
+    warm = int(cfg.warmup_frac * cfg.iterations)
     if warm > 0 and iteration < warm:
         lr = cfg.base_lr * iteration / warm
     else:

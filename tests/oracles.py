@@ -300,10 +300,8 @@ def reference_layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def reference_resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize by four fancy-index gathers per output pixel, one per
     corner: the float ops the separable ``augment.resize_bilinear`` must
-    match byte for byte."""
+    match byte for byte. It always interpolates, identity geometry too."""
     h, w = img.shape[:2]
-    if (h, w) == (out_h, out_w):
-        return img.copy()
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)

@@ -691,13 +691,39 @@ class TestTrainCommands:
         assert load_encoder(str(out / "checkpoint.rdck")).cfg.image_size == 32
         assert len((out / "loss_log.csv").read_text().splitlines()) == 3
 
+    def test_one_config_sets_the_side_of_every_command(self, tmp_path, capsys):
+        # vit.image_size sets the corpus side too, so every command of the
+        # chain takes what the one before it wrote
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(kv + "\n" for kv in TINY_SETS)
+                          + "vit.image_size = 32\ntrain.iterations = 2\n"
+                          "train.batch_size = 2\n")
+        data, run, emb = tmp_path / "data", tmp_path / "run", tmp_path / "cells.emb1"
+        for argv in (["gen-synthetic", "--out", str(data), "--n-images", "6"],
+                     ["train", "--manifest", str(data / "manifest.csv"), "--out", str(run)],
+                     ["embed", "--checkpoint", str(run / "checkpoint.rdck"),
+                      "--manifest", str(data / "manifest.csv"), "--out", str(emb)],
+                     ["pca-map", "--checkpoint", str(run / "checkpoint.rdck"),
+                      "--image", str(data / "img00000_src0.ppm"),
+                      "--out", str(tmp_path / "pca.ppm")]):
+            rc, _, err = run_cli(argv + ["--config", str(config)], capsys)
+            assert rc == 0, (argv[0], err)
+        records = load_manifest(str(data / "manifest.csv"))
+        assert len(records) == 6
+        assert all(read_ppm(r.path).shape == (32, 32, 3) for r in records)
+        assert len(read_embeddings(str(emb))) == 6
+        assert read_ppm(str(tmp_path / "pca.ppm")).shape == (32, 32, 3)
+
     def test_crop_side_key_is_gone(self, dataset, tmp_path, capsys):
-        rc, _, err = run_cli(["train", "--manifest", str(dataset / "manifest.csv"),
-                              "--out", str(tmp_path / "o"),
-                              "--set", "crop.global_size=64"], capsys)
-        assert rc == 1
-        assert "unknown config key: crop.global_size" in err
-        assert not (tmp_path / "o").exists()
+        # vit.image_size sets both the crop side and the synthetic side
+        for n, (argv, key) in enumerate([
+                (["train", "--manifest", str(dataset / "manifest.csv")], "crop.global_size"),
+                (["gen-synthetic"], "synth.image_size")]):
+            out = tmp_path / f"o{n}"
+            rc, _, err = run_cli(argv + ["--out", str(out), "--set", f"{key}=32"], capsys)
+            assert rc == 1
+            assert f"unknown config key: {key}" in err
+            assert not out.exists()
 
     def test_empty_manifest_writes_nothing(self, tmp_path, capsys):
         manifest = tmp_path / "empty.csv"

@@ -331,8 +331,17 @@ class TestMulticrop:
         CropSpec(global_size=64, blur_p=0.0, blur_sigma=1e6)  # never blurs
 
     def test_resize_bilinear_identity(self, rng):
-        img = rng.uniform(size=(17, 23, 3)).astype(np.float32)
-        np.testing.assert_allclose(resize_bilinear(img, 17, 23), img, atol=1e-6)
+        # the identity branch is a fast path: it must give the interpolation's
+        # bytes, which are the input's, for [0, 1] views, for the 0-255 floats
+        # extract_cells resizes and for a strided crop view
+        unit = rng.uniform(size=(17, 23, 3)).astype(np.float32)
+        bytes255 = rng.integers(0, 256, size=(31, 9, 3)).astype(np.float32)
+        view = rng.uniform(size=(40, 50, 3)).astype(np.float32)[3:37:2, 5:45:3]
+        for img in (unit, bytes255, view):
+            h, w = img.shape[:2]
+            got = resize_bilinear(img, h, w)
+            assert got.tobytes() == reference_resize_bilinear(img, h, w).tobytes()
+            assert got.tobytes() == np.ascontiguousarray(img).tobytes()
 
     def test_separable_resize_matches_four_corner_oracle(self, rng):
         # up- and downsampling, 1-pixel sources and strided crop views
@@ -440,8 +449,7 @@ class TestSynthetic:
         samples = gen_synthetic(SynthConfig(n_images=12, sources=2, classes=3))
         assert [s.image.source_id for s in samples[:4]] == \
             ["src0", "src1", "src0", "src1"]
-        assert [s.class_index for s in samples[:6]] == [0, 0, 1, 1, 2, 2]
-        assert all(s.label == CLASS_NAMES[s.class_index] for s in samples)
+        assert [s.label for s in samples[:6]] == [CLASS_NAMES[i] for i in (0, 0, 1, 1, 2, 2)]
 
     def test_masks_label_cells_consecutively(self):
         for smp in gen_synthetic(SynthConfig(n_images=4, cells_min=2,
@@ -463,7 +471,7 @@ class TestSynthetic:
 
     def test_eccentricity_classifier_beats_ninety_percent(self):
         samples = gen_synthetic(SynthConfig(n_images=60, classes=3))
-        hits = sum(classify_by_eccentricity(s.image.pixels) == s.class_index
+        hits = sum(classify_by_eccentricity(s.image.pixels) == CLASS_NAMES.index(s.label)
                    for s in samples)
         assert hits / len(samples) > 0.9
 
@@ -471,7 +479,7 @@ class TestSynthetic:
         samples = gen_synthetic(SynthConfig(n_images=30, classes=3))
         per_class = {i: [] for i in range(3)}
         for s in samples:
-            per_class[s.class_index].append(eccentricity_feature(s.image.pixels))
+            per_class[CLASS_NAMES.index(s.label)].append(eccentricity_feature(s.image.pixels))
         disc, sickle, echino = (np.mean(per_class[i]) for i in range(3))
         assert disc < echino < sickle
 
@@ -495,6 +503,8 @@ class TestSynthetic:
             SynthConfig(cells_min=5, cells_max=3)
         with pytest.raises(ParameterError):
             SynthConfig(cell_radius_lo=0.0)
+        with pytest.raises(ParameterError, match=r"^image_size must be >= 16, got 8$"):
+            SynthConfig(image_size=8)
 
     @pytest.mark.parametrize("kwargs", [dict(noise_base=-1.0),
                                         dict(noise_base=0.01, noise_step=-0.02),

@@ -77,7 +77,8 @@ class TestSchedule:
         assert schedule(0, self.CFG)["lr"] == 0.0
 
     def test_warmup_end_hits_base_lr(self):
-        assert schedule(self.CFG.warmup_iters, self.CFG)["lr"] == self.CFG.base_lr
+        warm = int(self.CFG.warmup_frac * self.CFG.iterations)
+        assert schedule(warm, self.CFG)["lr"] == self.CFG.base_lr
 
     def test_final_iteration_endpoints(self):
         out = schedule(self.CFG.iterations - 1, self.CFG)
